@@ -13,7 +13,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .delay_models import harmonic, harmonic2, order_stat_moments, partial_order_mean_sum
+import numpy as np
+
+from .delay_models import (
+    _check_kn,
+    _tail_sums,
+    harmonic,
+    harmonic2,
+    order_stat_moments,
+    partial_order_mean_sum,
+)
 
 __all__ = [
     "AgeResult",
@@ -53,6 +62,8 @@ class AgeResult:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        if not math.isfinite(self.total):
+            raise ValueError(f"average age is not finite: {self.total}")
         total = math.fsum(self.breakdown.values())
         if not math.isclose(self.total, total, rel_tol=1e-10, abs_tol=1e-12):
             raise ValueError(
@@ -84,11 +95,27 @@ def _check_rate_shift(rate: float, shift: float) -> None:
         raise ValueError(f"shift must be finite and >= 0, got {shift}")
 
 
-def _check_kn(k: int, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+def _variance_ratio(rate, shift, t1, t2):
+    """``Var[X_{k:n}] / (2 E[X_{k:n}])`` from the tail sums of the k-th order statistic.
+
+    Written as ``T2 / (2 rate (rate shift + T1))``, which forms no square
+    of the rate (that square underflows below rate 1e-154 and overflows
+    above 1e154).  Works elementwise on numpy arrays.
+    """
+    return t2 / (2.0 * rate * (rate * shift + t1))
+
+
+def _earliest_k_terms(rate, shift, n, k, t1, t2, excess):
+    """The delta1, interval and variance-ratio terms of the earliest-k age.
+
+    Takes the tail sums over n-k < j <= n and ``excess = k - (n-k) T1``.
+    Works elementwise on numpy arrays of k.
+    """
+    return (
+        shift + excess / k / rate,
+        (2.0 * n - k) / (2.0 * k) * (shift + t1 / rate),
+        _variance_ratio(rate, shift, t1, t2),
+    )
 
 
 def age_wait_for_all_general(
@@ -147,7 +174,7 @@ def age_wait_for_all(rate: float, shift: float, n: int) -> AgeResult:
             "shift_term": 1.5 * shift,
             "rate_term": 1.0 / rate,
             "harmonic_term": hn / (2.0 * rate),
-            "variance_ratio_term": h2n / (2.0 * rate * rate * shift + 2.0 * rate * hn),
+            "variance_ratio_term": _variance_ratio(rate, shift, hn, h2n),
         },
     )
 
@@ -162,16 +189,17 @@ def age_earliest_k(rate: float, shift: float, n: int, k: int) -> AgeResult:
     """
     _check_rate_shift(rate, shift)
     _check_kn(k, n)
-    delta1 = partial_order_mean_sum(rate, shift, k, n) / k
-    kn = order_stat_moments(rate, shift, k, n)
+    delta1, interval, variance_ratio = _earliest_k_terms(
+        rate, shift, n, k, *_tail_sums(n, k)
+    )
     return _result(
         scheme="earliest_k",
         kind="exact",
         params={"lambda": rate, "shift": shift, "n": n, "k": k},
         breakdown={
             "delta1": delta1,
-            "interval_term": (2.0 * n - k) / (2.0 * k) * kn.mean,
-            "variance_ratio_term": kn.variance / (2.0 * kn.mean),
+            "interval_term": interval,
+            "variance_ratio_term": variance_ratio,
         },
     )
 
@@ -218,7 +246,7 @@ def age_preselected_k(rate: float, shift: float, n: int, k: int) -> AgeResult:
     mean_delay = shift + 1.0 / rate
     bystander_sum = partial_order_mean_sum(rate, shift, k, k + 1)
     delta1 = (k / n) * mean_delay + ((n - k) / (k * n)) * bystander_sum
-    kk = order_stat_moments(rate, shift, k, k)
+    hk, h2k = harmonic(k), harmonic2(k)
     coeff = (2.0 * n - k + n * k) / (2.0 * (k + n * k))
     return _result(
         scheme="preselected_k",
@@ -226,8 +254,8 @@ def age_preselected_k(rate: float, shift: float, n: int, k: int) -> AgeResult:
         params={"lambda": rate, "shift": shift, "n": n, "k": k},
         breakdown={
             "delta1": delta1,
-            "interval_term": coeff * kk.mean,
-            "variance_ratio_term": kk.variance / (2.0 * kk.mean),
+            "interval_term": coeff * (shift + hk / rate),
+            "variance_ratio_term": _variance_ratio(rate, shift, hk, h2k),
         },
     )
 
@@ -274,7 +302,7 @@ def age_preselected_k_process(rate: float, shift: float, n: int, k: int) -> AgeR
     second_failures = q * (1.0 + q) / (p_any * p_any)
     mean_failure_sum = mean_failures * runner_up.mean
     second_failure_sum = (
-        mean_failures * runner_up.variance + second_failures * runner_up.mean**2
+        mean_failures * runner_up.variance + second_failures * runner_up.mean * runner_up.mean
     )
     mean_gap = mean_delivery_round + mean_failure_sum
     second_gap = (
@@ -321,15 +349,19 @@ def age_preselected_k_approx(rate: float, shift: float, n: int, k: int) -> AgeRe
 
 
 def optimal_alpha(rate: float, shift: float) -> float:
-    """Age-minimizing threshold ratio ``sqrt(r^2 c^2 + 2 r c) - r c`` in [0, 1).
+    """Age-minimizing threshold ratio ``sqrt(r^2 c^2 + 2 r c) - r c`` in [0, 1].
 
-    Depends only on the product ``rate * shift``.  Evaluated in the
-    cancellation-free form ``2x / (sqrt(x^2 + 2x) + x)`` for x > 0.
+    Depends only on the product ``x = rate * shift``.  Evaluated without
+    cancellation as ``2x / (sqrt(x^2 + 2x) + x)`` for x < 1 and, where
+    ``x^2`` could overflow, as ``2 / (sqrt(1 + 2/x) + 1)`` for x >= 1.  The
+    ratio tends to 1 as x grows and rounds to 1.0 for x above about 1e16.
     """
     _check_rate_shift(rate, shift)
     x = rate * shift
     if x == 0.0:
         return 0.0
+    if x >= 1.0:
+        return 2.0 / (math.sqrt(1.0 + 2.0 / x) + 1.0)
     return 2.0 * x / (math.sqrt(x * x + 2.0 * x) + x)
 
 
@@ -341,13 +373,53 @@ def optimal_k_closed_form(rate: float, shift: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
+def _running_sums(terms, total, error):
+    """Running sums of ``terms`` continued from ``total``, with their rounding errors.
+
+    ``np.cumsum`` adds in sequence, so each step's rounding error is
+    recovered exactly by TwoSum and accumulated on top of ``error``;
+    ``sums + errors`` is the compensated running sum.
+    """
+    partial = np.cumsum(np.concatenate(([total], terms)))
+    before, sums = partial[:-1], partial[1:]
+    added = sums - before
+    step_error = (before - (sums - added)) + (terms - added)
+    return sums, error + np.cumsum(step_error)
+
+
+# Thresholds k evaluated per vectorized step of optimal_k_exact.
+_K_BLOCK = 1 << 15
+
+
 def optimal_k_exact(rate: float, shift: float, n: int) -> tuple[int, AgeResult]:
-    """Exhaustive age-minimizing threshold over k = 1..n (smallest k on ties)."""
+    """Exhaustive age-minimizing threshold over k = 1..n (smallest k on ties).
+
+    One vectorized pass over k in blocks of fixed size, so O(n) time in
+    bounded memory: the tail sums of ``1/j`` and ``1/j^2`` for every k are
+    compensated running sums from j = n downward, and the earliest-k age
+    is evaluated for a whole block at once.  The returned breakdown comes
+    from :func:`age_earliest_k` at the minimizer.
+    """
+    _check_rate_shift(rate, shift)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    best_k, best = 1, age_earliest_k(rate, shift, n, 1)
-    for k in range(2, n + 1):
-        candidate = age_earliest_k(rate, shift, n, k)
-        if candidate.total < best.total:
-            best_k, best = k, candidate
-    return best_k, best
+    best_k, best_age = 1, math.inf
+    t1 = e1 = t2 = e2 = 0.0
+    # Ages out of floating-point range become inf here, without warnings;
+    # age_earliest_k rejects them at the minimizer.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for first in range(1, n + 1, _K_BLOCK):
+            k = np.arange(first, min(first + _K_BLOCK, n + 1), dtype=float)
+            j = n + 1.0 - k
+            s1, c1 = _running_sums(1.0 / j, t1, e1)
+            s2, c2 = _running_sums(1.0 / (j * j), t2, e2)
+            t1, e1, t2, e2 = s1[-1], c1[-1], s2[-1], c2[-1]
+            tail1 = s1 + c1
+            delta1, interval, variance_ratio = _earliest_k_terms(
+                rate, shift, n, k, tail1, s2 + c2, k - (n - k) * tail1
+            )
+            age = delta1 + interval + variance_ratio
+            i = int(np.argmin(age))
+            if age[i] < best_age:
+                best_k, best_age = first + i, float(age[i])
+    return best_k, age_earliest_k(rate, shift, n, best_k)

@@ -291,7 +291,7 @@ def _optimize(args) -> int:
     alpha = optimal_alpha(args.lam, args.shift)
     k_closed = optimal_k_closed_form(args.lam, args.shift, args.n)
     approx_at_alpha = (
-        age_earliest_k_approx(args.lam, args.shift, alpha).total if alpha > 0 else None
+        age_earliest_k_approx(args.lam, args.shift, alpha).total if 0.0 < alpha < 1.0 else None
     )
     exact_at_closed = age_earliest_k(args.lam, args.shift, args.n, k_closed)
     k_best, best = optimal_k_exact(args.lam, args.shift, args.n)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -184,22 +183,107 @@ def model_variance(model: DelayModel) -> float:
     return model.variance()
 
 
-@lru_cache(maxsize=None)
-def harmonic(n: int) -> float:
-    """Partial sum ``H_n = sum_{j=1..n} 1/j``, exactly compensated; ``H_0 = 0``."""
+# Tail sums over the k largest indices, n-k < j <= n, come from one kernel:
+# T1 = sum 1/j, T2 = sum 1/j^2, and the excess k - (n-k) T1 = sum (j-(n-k))/j,
+# which partial_order_mean_sum needs and which cancels badly when formed
+# from T1.  Up to _DIRECT_TERMS terms are summed directly with math.fsum.
+# Longer tails take the indices above _ASYMPTOTIC_FROM from the asymptotic
+# (Euler-Maclaurin) expansions of digamma and trigamma, and the rest, fewer
+# than _ASYMPTOTIC_FROM terms, directly.
+_DIRECT_TERMS = 64
+_ASYMPTOTIC_FROM = 32
+# Bernoulli numbers B_2, B_4, ..., B_12.  With m >= 32 the first omitted
+# term is below 1e-17 of the tail sum.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
+def _log1p_excess(x: float) -> float:
+    """``x - log(1 + x)`` for x > 0, accurate also where the two nearly cancel."""
+    if x > 1.0:
+        return x - math.log1p(x)
+    # log(1 + x) = 2 atanh(u) = 2 (u + u^3/3 + u^5/5 + ...) with u = x / (2 + x),
+    # and x - 2u = x^2 / (2 + x); for x <= 1, u^2 <= 1/9.
+    u = x / (2.0 + x)
+    u2 = u * u
+    series, power, j = 0.0, u * u2, 3
+    while power > 1e-17 * series:
+        series += power / j
+        power *= u2
+        j += 2
+    return x * x / (2.0 + x) - 2.0 * series
+
+
+def _asymptotic_tail(n: int, m: int) -> tuple[float, float, float]:
+    """``(T1, T2, excess)`` over m < j <= n for m >= _ASYMPTOTIC_FROM.
+
+    ``T1 = psi(n+1) - psi(m+1)`` and ``T2 = psi'(m+1) - psi'(n+1)``.  Every
+    difference ``a^p - b^p`` (a = 1/m, b = 1/n) of the expansions is formed
+    as ``d S_p`` with ``d = a - b = k/(mn)`` and ``S_p = sum_i a^i b^(p-1-i)``,
+    so no two large terms are subtracted.
+    """
+    k = n - m
+    a, b = 1.0 / m, 1.0 / n
+    s, b_power = 1.0, b
+    sums = [s]  # sums[p - 1] = S_p
+    for _ in range(2 * len(_BERNOULLI)):
+        s = a * s + b_power
+        b_power *= b
+        sums.append(s)
+    # psi(x+1) ~ log x + 1/(2x) - sum_j B_2j / (2j x^2j)
+    e1 = sums[0] / 2.0 - sum(
+        b2j / (2 * j) * sums[2 * j - 1] for j, b2j in enumerate(_BERNOULLI, 1)
+    )
+    # psi'(x+1) ~ 1/x - 1/(2x^2) + sum_j B_2j / x^(2j+1)
+    e2 = sums[0] - sums[1] / 2.0 + sum(
+        b2j * sums[2 * j] for j, b2j in enumerate(_BERNOULLI, 1)
+    )
+    x = k / m
+    d = x / n
+    return (
+        math.log1p(x) - d * e1,
+        d * e2,
+        m * _log1p_excess(x) + (k / n) * e1,
+    )
+
+
+def _tail_sums(n: int, k: int) -> tuple[float, float, float]:
+    """``(T1, T2, excess)`` over n-k < j <= n, each to a few ulps; 0 <= k <= n."""
+    m = n - k
+    if k <= _DIRECT_TERMS:
+        terms = range(m + 1, n + 1)
+        return (
+            math.fsum(1.0 / j for j in terms),
+            math.fsum(1.0 / (j * j) for j in terms),
+            math.fsum((j - m) / j for j in terms),
+        )
+    low = max(m, _ASYMPTOTIC_FROM)
+    t1, t2, excess = _asymptotic_tail(n, low)
+    if m < low:
+        terms = range(m + 1, low + 1)
+        t1 += math.fsum(1.0 / j for j in terms)
+        t2 += math.fsum(1.0 / (j * j) for j in terms)
+        # m < 32 < k here, so m T1 stays well below k.
+        excess = k - m * t1
+    return t1, t2, excess
+
+
+def _check_index(n: int) -> int:
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return math.fsum(1.0 / j for j in range(1, n + 1))
+    return n
 
 
-@lru_cache(maxsize=None)
+def harmonic(n: int) -> float:
+    """Partial sum ``H_n = sum_{j=1..n} 1/j`` to a few ulps; ``H_0 = 0``."""
+    n = _check_index(n)
+    return _tail_sums(n, n)[0]
+
+
 def harmonic2(n: int) -> float:
     """Second-order partial sum ``sum_{j=1..n} 1/j^2`` (limit pi^2/6); zero at n=0."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return math.fsum(1.0 / (j * j) for j in range(1, n + 1))
+    n = _check_index(n)
+    return _tail_sums(n, n)[1]
 
 
 class OrderStatMoments(NamedTuple):
@@ -219,47 +303,44 @@ def _check_kn(k: int, n: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
 
-def order_stat_moments(rate: float, shift: float, k: int, n: int) -> OrderStatMoments:
-    """Mean, variance, and second moment of the k-th order statistic.
-
-    For i.i.d. ShiftedExponential(rate, shift) delays:
-
-    * mean     = shift + (H_n - H_{n-k}) / rate
-    * variance = (H2_n - H2_{n-k}) / rate^2
-    * second moment = shift^2 + 2 shift (H_n - H_{n-k}) / rate
-      + ((H_n - H_{n-k})^2 + H2_n - H2_{n-k}) / rate^2
-
-    where H and H2 are the first- and second-order harmonic partial sums.
-    """
+def _check_order_stat_args(rate: float, shift: float, k: int, n: int) -> None:
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     _check_kn(k, n)
-    hd = harmonic(n) - harmonic(n - k)
-    h2d = harmonic2(n) - harmonic2(n - k)
-    mean = shift + hd / rate
-    variance = h2d / (rate * rate)
-    second = (
-        shift * shift
-        + 2.0 * shift * hd / rate
-        + (hd * hd + h2d) / (rate * rate)
+
+
+def order_stat_moments(rate: float, shift: float, k: int, n: int) -> OrderStatMoments:
+    """Mean, variance, and second moment of the k-th order statistic.
+
+    For i.i.d. ShiftedExponential(rate, shift) delays, with the tail sums
+    ``T1 = sum_{j=n-k+1..n} 1/j`` and ``T2 = sum_{j=n-k+1..n} 1/j^2``:
+
+    * mean     = shift + T1 / rate
+    * variance = T2 / rate^2
+    * second moment = mean^2 + variance
+    """
+    _check_order_stat_args(rate, shift, k, n)
+    t1, t2, _ = _tail_sums(n, k)
+    mean = shift + t1 / rate
+    variance = t2 / rate / rate
+    return OrderStatMoments(
+        mean=mean, variance=variance, second_moment=mean * mean + variance, k=k, n=n
     )
-    return OrderStatMoments(mean=mean, variance=variance, second_moment=second, k=k, n=n)
 
 
 def partial_order_mean_sum(rate: float, shift: float, k: int, n: int) -> float:
     """Sum of the k smallest order-statistic means, in closed form.
 
-    ``sum_{i=1..k} E[X_{i:n}] = k (shift + 1/rate) - ((n-k)/rate) (H_n - H_{n-k})``,
-    a consequence of the series identity ``sum_{i=1..k} H_i = (k+1)(H_{k+1} - 1)``.
+    ``sum_{i=1..k} E[X_{i:n}] = k shift + (k - (n-k) T1) / rate`` with the
+    tail sum ``T1 = H_n - H_{n-k}``, a consequence of the series identity
+    ``sum_{i=1..k} H_i = (k+1)(H_{k+1} - 1)``.  The difference
+    ``k - (n-k) T1 = sum_{j=n-k+1..n} (j - n + k)/j`` is taken without
+    cancellation.
     """
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if shift < 0:
-        raise ValueError(f"shift must be >= 0, got {shift}")
-    _check_kn(k, n)
-    return k * (shift + 1.0 / rate) - ((n - k) / rate) * (harmonic(n) - harmonic(n - k))
+    _check_order_stat_args(rate, shift, k, n)
+    return k * shift + _tail_sums(n, k)[2] / rate
 
 
 class McOrderStat(NamedTuple):

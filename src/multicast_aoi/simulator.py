@@ -42,6 +42,7 @@ __all__ = [
 
 _REGROUP_MODES = ("per_update", "fixed")
 _CHUNK_ELEMENTS = 4_000_000
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 _MAX_BATCHES = 32
 
 
@@ -158,8 +159,13 @@ def run_rounds(
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 2:
         raise ValueError(f"delays must be a (rounds, n) matrix, got shape {delays.shape}")
-    if np.any(delays < 0):
-        raise ValueError("delays must be nonnegative")
+    # Read as unsigned integers, the bits of finite nonnegative doubles lie
+    # below those of +inf, and the bits of NaN, negatives and -0.0 above; so
+    # one integer max screens the matrix in a single pass.  The exact check
+    # runs only when the screen fails, and lets -0.0 through.
+    if delays.size and delays.view(np.uint64).max() >= _INF_BITS:
+        if not (delays.min() >= 0 and delays.max() < np.inf):
+            raise ValueError("delays must be finite and nonnegative")
     rounds, n = delays.shape
     k = _policy_threshold(policy, n)
 

@@ -211,6 +211,20 @@ class TestOptimalThreshold:
         alpha = optimal_alpha(rate, shift)
         assert 0.0 <= alpha < 1.0
 
+    @pytest.mark.parametrize("product", [1e16, 1e160])
+    def test_alpha_tends_to_one_for_large_products(self, product):
+        # 1 - alpha* ~ 1/(2x): below half an ulp of 1.0 here, so alpha* rounds to 1.0
+        assert optimal_alpha(product, 1.0) == 1.0
+        assert optimal_alpha(1.0, product) == 1.0
+        assert optimal_k_closed_form(product, 1.0, 10) == 10
+        assert optimal_k_exact(product, 1.0, 10)[0] == 10
+
+    def test_alpha_continuous_across_one(self):
+        below = optimal_alpha(1.0, math.nextafter(1.0, 0.0))
+        assert below < optimal_alpha(1.0, 1.0) == pytest.approx(math.sqrt(3) - 1, rel=1e-15)
+        assert optimal_alpha(1.0, 1.0) - below < 1e-15
+        assert optimal_alpha(1e8, 1.0) == pytest.approx(1.0 - 0.5e-8, rel=1e-15)
+
     def test_closed_form_k(self):
         assert optimal_k_closed_form(1.0, 1.0, 100) == 73
         assert optimal_k_closed_form(2.0, 0.0, 50) == 1
@@ -224,6 +238,53 @@ class TestOptimalThreshold:
         assert abs(k - 73) <= 3
         approx_at_opt = age_earliest_k_approx(1.0, 1.0, optimal_alpha(1.0, 1.0)).total
         assert abs(best.total - approx_at_opt) / approx_at_opt <= 0.01
+
+
+class TestExhaustiveThreshold:
+    # k_exhaustive as found by the earlier per-k loop over age_earliest_k
+    @pytest.mark.parametrize(
+        "rate,shift,n,k_star",
+        [
+            (1.0, 1.0, 2000, 1464),
+            (1.0, 1.0, 8000, 5857),
+            (2.0, 0.25, 2000, 1236),
+            (2.0, 0.25, 8000, 4944),
+            (0.5, 3.0, 2000, 1583),
+            (0.5, 3.0, 8000, 6330),
+        ],
+    )
+    def test_pinned_minimizers(self, rate, shift, n, k_star):
+        k, best = optimal_k_exact(rate, shift, n)
+        assert k == k_star
+        assert best.total == age_earliest_k(rate, shift, n, k_star).total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.floats(min_value=0.05, max_value=20.0),
+        shift=st.floats(min_value=0.0, max_value=10.0),
+        n=st.integers(min_value=1, max_value=300),
+    )
+    def test_equals_brute_force_argmin(self, rate, shift, n):
+        ages = [age_earliest_k(rate, shift, n, k).total for k in range(1, n + 1)]
+        brute = ages.index(min(ages)) + 1  # smallest k on ties
+        k, best = optimal_k_exact(rate, shift, n)
+        assert k == brute
+        assert best.total == ages[brute - 1]
+
+    def test_matches_closed_form_at_ten_million(self):
+        n = 10_000_000
+        k, best = optimal_k_exact(1.0, 1.0, n)
+        assert k == optimal_k_closed_form(1.0, 1.0, n)
+        approx = age_earliest_k_approx(1.0, 1.0, optimal_alpha(1.0, 1.0)).total
+        assert best.total == pytest.approx(approx, rel=1e-6)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            optimal_k_exact(1.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            optimal_k_exact(0.0, 1.0, 10)
+        with pytest.raises(ValueError):
+            optimal_k_exact(1.0, -1.0, 10)
 
 
 class TestStructuralProperties:
@@ -244,6 +305,22 @@ class TestStructuralProperties:
         assert age_wait_for_all(rate / scale, shift * scale, n).total == pytest.approx(
             age_wait_for_all(rate, shift, n).total * scale, rel=1e-10
         )
+
+    @pytest.mark.parametrize("scale", [1e170, 1e-170])
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_scale_covariance_at_extreme_scales(self, scale, shift):
+        rate = 1.0
+        for n in (1, 10, 100):
+            for k in sorted({1, n // 2 or 1, n}):
+                for fn in (age_earliest_k, age_preselected_k):
+                    scaled = fn(rate / scale, shift * scale, n, k).total
+                    assert scaled == pytest.approx(fn(rate, shift, n, k).total * scale, rel=1e-12)
+            scaled = age_wait_for_all(rate / scale, shift * scale, n).total
+            assert scaled == pytest.approx(age_wait_for_all(rate, shift, n).total * scale, rel=1e-12)
+            k, best = optimal_k_exact(rate / scale, shift * scale, n)
+            k_base, best_base = optimal_k_exact(rate, shift, n)
+            assert k == k_base
+            assert best.total == pytest.approx(best_base.total * scale, rel=1e-12)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -276,6 +353,11 @@ class TestAgeResultValidation:
     def test_total_must_match_breakdown(self):
         with pytest.raises(ValueError):
             AgeResult(total=2.0, breakdown={"a": 0.5}, kind="exact", scheme="earliest_k")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_total_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            AgeResult(total=bad, breakdown={"a": bad}, kind="exact", scheme="earliest_k")
 
     def test_kind_and_scheme_validated(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,16 @@ class TestAnalyze:
         )
         assert code == 2 and "simulate" in err
 
+    def test_process_age_out_of_range_is_an_argument_error(self, capsys):
+        # its second moments overflow although the published form stays finite
+        code, out, err = run_cli(
+            ["analyze", "--scheme", "pre-selected-k", "--lambda", "1e-170", "--shift", "1",
+             "--n", "10", "--k", "5"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: average age is not finite") and err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             ["analyze", "--scheme", "wait-for-all", "--lambda", "1", "--shift", "1",
@@ -137,6 +147,35 @@ class TestOptimize:
         assert "alpha*: 0" in out
         assert "closed-form k*: 1" in out
         assert "approximate age at alpha*" not in out
+
+
+    @pytest.mark.parametrize("lam", ["1e16", "1e160"])
+    def test_alpha_rounding_to_one_skips_alpha_age(self, capsys, lam):
+        code, out, _ = run_cli(["optimize", "--lambda", lam, "--shift", "1", "--n", "10"], capsys)
+        assert code == 0
+        assert "alpha*: 1\n" in out
+        assert "approximate age at alpha*" not in out
+        assert "closed-form k*: 10\nexact age at closed-form k*: 1.5\n" in out
+        assert "exhaustive k*: 10\nexact age at exhaustive k*: 1.5\n" in out
+        code, as_json, _ = run_cli(
+            ["optimize", "--lambda", lam, "--shift", "1", "--n", "10", "--format", "json"], capsys
+        )
+        assert code == 0 and json.loads(as_json)["approx_age_at_alpha_star"] is None
+
+    def test_tiny_rate(self, capsys):
+        code, out, err = run_cli(
+            ["optimize", "--lambda", "1e-170", "--shift", "1", "--n", "10", "--format", "json"],
+            capsys,
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["k_exhaustive"] == payload["k_closed_form"] == 1
+        assert payload["exact_age_at_k_exhaustive"] == pytest.approx(1.1e170, rel=1e-12)
+
+    def test_overflowing_age_is_an_argument_error(self, capsys):
+        code, out, err = run_cli(["optimize", "--lambda", "1e-320", "--n", "10"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: average age is not finite: inf\n"
 
 
 class TestSimulate:

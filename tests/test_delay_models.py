@@ -1,6 +1,7 @@
 """Delay distributions, harmonic sums, and order-statistic closed forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from multicast_aoi import (
     sample_delay,
     sample_delay_matrix,
 )
+from multicast_aoi.delay_models import _tail_sums
 
 
 class TestModels:
@@ -114,6 +116,93 @@ class TestHarmonic:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < limit for v in values)
         assert limit - harmonic2(1_000_000) < 1.1e-6
+
+
+def exact_tails(n, ks):
+    """Exact ``(T1, T2, k - (n-k) T1)`` over n-k < j <= n for each k in ``ks``.
+
+    Sums ``L/j`` and ``L^2/j^2`` in integers with ``L = lcm(1..n)``, so the
+    reference carries no rounding at all.
+    """
+    lcm = math.lcm(*range(1, n + 1))
+    lcm2 = lcm * lcm
+    wanted, exact = set(ks), {}
+    s1 = s2 = 0
+    for k in range(1, n + 1):
+        j = n - k + 1
+        s1 += lcm // j
+        s2 += lcm2 // (j * j)
+        if k in wanted:
+            t1 = Fraction(s1, lcm)
+            exact[k] = (t1, Fraction(s2, lcm2), k - (n - k) * t1)
+    return exact
+
+
+def relative_error(got, want):
+    return abs(Fraction(got) - want) / want
+
+
+class TestTailSumKernel:
+    # Every branch boundary of the kernel (direct sums up to 64 terms, the
+    # asymptotic expansion from index 32 upward) plus k = 1 and k = n.
+    N_GRID = (1, 2, 3, 10, 31, 32, 33, 64, 65, 66, 97, 100, 1000, 20_000)
+
+    @staticmethod
+    def k_grid(n):
+        ks = {1, 2, 3, 32, 33, 64, 65, 66, n // 2, n - 65, n - 64, n - 33, n - 32, n - 31, n - 1, n}
+        return sorted(k for k in ks if 1 <= k <= n)
+
+    def test_against_exact_rationals(self):
+        worst = Fraction(0)
+        for n in self.N_GRID:
+            ks = self.k_grid(n)
+            for k, (t1, t2, excess) in exact_tails(n, ks).items():
+                got = _tail_sums(n, k)
+                for value, want in zip(got, (t1, t2, excess)):
+                    worst = max(worst, relative_error(value, want))
+                for rate, shift in ((1.0, 0.0), (0.7, 0.3), (3.0, 2.0)):
+                    r, c = Fraction(rate), Fraction(shift)
+                    m = order_stat_moments(rate, shift, k, n)
+                    worst = max(
+                        worst,
+                        relative_error(m.mean, c + t1 / r),
+                        relative_error(m.variance, t2 / (r * r)),
+                        relative_error(
+                            partial_order_mean_sum(rate, shift, k, n), k * c + excess / r
+                        ),
+                    )
+        assert worst <= 1e-12, float(worst)
+
+    def test_harmonic_numbers_match_exact_rationals(self):
+        for n in (64, 65, 100, 1000):
+            t1, t2, _ = exact_tails(n, [n])[n]
+            assert relative_error(harmonic(n), t1) <= 1e-15
+            assert relative_error(harmonic2(n), t2) <= 1e-15
+
+    def test_single_largest_index_at_ten_million(self):
+        n = 10_000_000
+        m = order_stat_moments(1.0, 0.0, 1, n)
+        assert m.mean == 1.0 / n
+        assert m.variance == pytest.approx(1.0 / n**2, rel=1e-15)
+        assert partial_order_mean_sum(1.0, 0.0, 1, n) == 1.0 / n
+        # sum_{i<=k} E[X_{i:n}] = sum_{i<=k} i/(n-k+i) for Exp(1): formed from
+        # the tail sum as k - (n-k) T1 it would lose ~1e-10 here
+        for k in (2, 3, 100, 1000):
+            exact = sum(Fraction(i, n - k + i) for i in range(1, k + 1))
+            assert relative_error(partial_order_mean_sum(1.0, 0.0, k, n), exact) <= 1e-15
+
+    def test_asymptotics_at_ten_million(self):
+        n = 10_000_000
+        euler_gamma = 0.57721566490153286
+        h = math.log(n) + euler_gamma + 1 / (2 * n) - 1 / (12 * n**2)
+        h2 = math.pi**2 / 6 - 1 / n + 1 / (2 * n**2) - 1 / (6 * n**3)
+        assert harmonic(n) == pytest.approx(h, rel=1e-15)
+        assert harmonic2(n) == pytest.approx(h2, rel=1e-15)
+        # a long tail away from both ends: log(n/m) plus O(k/(mn)) corrections
+        t1, t2, _ = _tail_sums(n, n // 2)
+        m = n - n // 2
+        assert t1 == pytest.approx(math.log(n / m) - (1 / m - 1 / n) / 2, rel=1e-14)
+        assert t2 == pytest.approx((1 / m - 1 / n) - (1 / m**2 - 1 / n**2) / 2, rel=1e-13)
 
 
 class TestOrderStatMoments:

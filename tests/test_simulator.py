@@ -59,6 +59,20 @@ class TestRunRound:
         with pytest.raises(ValueError):
             run_round(WaitForAll(), [0.1, -0.2])
 
+    def test_negative_zero_is_a_valid_delay(self):
+        y, delivered = run_round(WaitForAll(), [0.0, -0.0, 0.5])
+        assert y == 0.5 and delivered == {0, 1, 2}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(1), PreSelectedK(1)])
+    def test_non_finite_delays_rejected(self, bad, policy):
+        with pytest.raises(ValueError, match="finite"):
+            run_round(policy, [0.1, bad, 0.3], group=[0])
+        delays = np.full((4, 3), 0.5)
+        delays[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_rounds(policy, delays, groups=np.array([0]))
+
     def test_preselected_needs_group_source(self):
         with pytest.raises(ValueError):
             run_round(PreSelectedK(1), [0.1, 0.2])
