@@ -20,7 +20,6 @@ from .delay_models import (
     _tail_sums,
     harmonic,
     harmonic2,
-    order_stat_moments,
     partial_order_mean_sum,
 )
 
@@ -290,25 +289,37 @@ def age_preselected_k_process(rate: float, shift: float, n: int, k: int) -> AgeR
         w_group * (shift + 1.0 / rate)
         + w_bystander * partial_order_mean_sum(rate, shift, k, k + 1) / k
     )
-    group_max = order_stat_moments(rate, shift, k, k)
-    overall_max = order_stat_moments(rate, shift, k + 1, k + 1)
-    runner_up = order_stat_moments(rate, shift, k, k + 1)
-    mean_delivery_round = w_group * group_max.mean + w_bystander * overall_max.mean
-    second_delivery_round = (
-        w_group * group_max.second_moment + w_bystander * overall_max.second_moment
-    )
-    q = 1.0 - p_any
+    # Tail sums of the group maximum X_{k:k}, the overall maximum
+    # X_{k+1:k+1} and the runner-up X_{k:k+1}: means are shift + T1/rate,
+    # variances T2/rate^2.
+    t1_group, t2_group, _ = _tail_sums(k, k)
+    t1_all, t2_all, _ = _tail_sums(k + 1, k + 1)
+    t1_runner, t2_runner, _ = _tail_sums(k + 1, k)
+    runner_up = shift + t1_runner / rate
+    q = (n - k) / (n * (k + 1.0))  # 1 - p_any, without cancellation
     mean_failures = q / p_any
-    second_failures = q * (1.0 + q) / (p_any * p_any)
-    mean_failure_sum = mean_failures * runner_up.mean
-    second_failure_sum = (
-        mean_failures * runner_up.variance + second_failures * runner_up.mean * runner_up.mean
+    mean_gap = (
+        w_group * (shift + t1_group / rate)
+        + w_bystander * (shift + t1_all / rate)
+        + mean_failures * runner_up
     )
-    mean_gap = mean_delivery_round + mean_failure_sum
-    second_gap = (
-        second_delivery_round
-        + 2.0 * mean_delivery_round * mean_failure_sum
-        + second_failure_sum
+    # The gap is the delivery round plus a geometric number F of failed
+    # rounds (E[F] = q/p_any, Var[F] = q/p_any^2), so Var[gap] =
+    # Var[D] + E[F] Var[R] + Var[F] E[R]^2.  It is formed directly rather
+    # than as E[gap^2] - E[gap]^2, which cancels when rate*shift is large.
+    # The delivery-round mixture's two means differ by 1/((k+1) rate)
+    # whatever the shift.  Variances stay in units of 1/rate^2 (the T2
+    # sums), and Var[F] E[R]^2 / (2 E[gap]) is taken as
+    # Var[F] E[R] (E[R] / (2 E[gap])), so nothing squares the rate or a mean.
+    variance_units = (
+        w_group * t2_group
+        + w_bystander * t2_all
+        + w_group * w_bystander / ((k + 1.0) * (k + 1.0))
+        + mean_failures * t2_runner
+    )
+    variance_ratio = (
+        variance_units / (2.0 * rate * (rate * mean_gap))
+        + q / (p_any * p_any) * runner_up * (runner_up / (2.0 * mean_gap))
     )
     return _result(
         scheme="preselected_k",
@@ -317,7 +328,7 @@ def age_preselected_k_process(rate: float, shift: float, n: int, k: int) -> AgeR
         breakdown={
             "delta1": delta1,
             "interval_term": mean_gap / 2.0,
-            "variance_ratio_term": (second_gap - mean_gap * mean_gap) / (2.0 * mean_gap),
+            "variance_ratio_term": variance_ratio,
         },
     )
 

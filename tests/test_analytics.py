@@ -1,6 +1,7 @@
 """Closed-form age formulas, approximations, and threshold optimization."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,51 @@ class TestPreselectedKProcess:
                         age_preselected_k(rate, shift, n, n).total, rel=1e-12
                     )
 
+    @pytest.mark.parametrize("x", [1.0, 1e4, 1e8])
+    def test_variance_term_equals_closed_form_at_k_n(self, x):
+        # rate*shift = x; at k = n the published form is exact
+        for n in (1, 10, 100):
+            process = age_preselected_k_process(1.0, x, n, n).breakdown["variance_ratio_term"]
+            published = age_preselected_k(1.0, x, n, n).breakdown["variance_ratio_term"]
+            assert process == pytest.approx(published, rel=1e-12, abs=0)
+
+    def test_matches_exact_rational_moment_form(self):
+        # Var[gap] as E[gap^2] - E[gap]^2, in exact rationals: no cancellation
+        def tail(n, k, power):
+            return sum(Fraction(1, j**power) for j in range(n - k + 1, n + 1))
+
+        def exact(rate, shift, n, k):
+            def moments(m, j):  # mean and second moment of X_{j:m}
+                mean = shift + tail(m, j, 1) / rate
+                return mean, mean * mean + tail(m, j, 2) / (rate * rate)
+
+            p = Fraction(k, n)
+            a = Fraction(k, k + 1)
+            p_any = p + (1 - p) * a
+            w_group, w_bystander = p / p_any, (1 - p) * a / p_any
+            group, group2 = moments(k, k)
+            overall, overall2 = moments(k + 1, k + 1)
+            runner, runner2 = moments(k + 1, k)
+            q = 1 - p_any
+            failures, failures2 = q / p_any, q * (1 + q) / (p_any * p_any)
+            mean_round = w_group * group + w_bystander * overall
+            mean_gap = mean_round + failures * runner
+            second_gap = (
+                w_group * group2 + w_bystander * overall2
+                + 2 * mean_round * failures * runner
+                + failures * (runner2 - runner * runner) + failures2 * runner * runner
+            )
+            return mean_gap / 2, (second_gap - mean_gap * mean_gap) / (2 * mean_gap)
+
+        grid = ((1, 0), (2, Fraction(1, 2)), (Fraction(1, 3), 1), (1, 10**4), (1, 10**8))
+        for rate, shift in grid:
+            for n in (1, 2, 5, 10, 40):
+                for k in range(1, n + 1):
+                    got = age_preselected_k_process(float(rate), float(shift), n, k).breakdown
+                    interval, variance_ratio = exact(rate, shift, n, k)
+                    assert abs(float(got["interval_term"] / interval - 1)) <= 1e-14
+                    assert abs(float(got["variance_ratio_term"] / variance_ratio - 1)) <= 1e-14
+
     def test_never_above_classical_closed_form(self):
         for rate in RATE_GRID:
             for shift in (0.0, 1.0):
@@ -312,7 +358,8 @@ class TestStructuralProperties:
         rate = 1.0
         for n in (1, 10, 100):
             for k in sorted({1, n // 2 or 1, n}):
-                for fn in (age_earliest_k, age_preselected_k):
+                for fn in (age_earliest_k, age_preselected_k,
+                           age_preselected_k_process):
                     scaled = fn(rate / scale, shift * scale, n, k).total
                     assert scaled == pytest.approx(fn(rate, shift, n, k).total * scale, rel=1e-12)
             scaled = age_wait_for_all(rate / scale, shift * scale, n).total

@@ -92,15 +92,17 @@ class TestAnalyze:
         )
         assert code == 2 and "simulate" in err
 
-    def test_process_age_out_of_range_is_an_argument_error(self, capsys):
-        # its second moments overflow although the published form stays finite
+    def test_process_age_at_tiny_rate_is_finite(self, capsys):
+        # squared means near 1e340 are never formed; at rate*shift = 1e-170
+        # the age is 1e170 times the age at rate 1, shift 0
         code, out, err = run_cli(
             ["analyze", "--scheme", "pre-selected-k", "--lambda", "1e-170", "--shift", "1",
-             "--n", "10", "--k", "5"],
+             "--n", "10", "--k", "5", "--format", "json"],
             capsys,
         )
-        assert code == 2 and out == ""
-        assert err.startswith("error: average age is not finite") and err.count("\n") == 1
+        assert code == 0 and err == ""
+        process = json.loads(out)["process"]["total"]
+        assert process == pytest.approx(2.4621654501216548e170, rel=1e-12)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

@@ -103,6 +103,33 @@ class TestRunRounds:
                 assert y[j] == y_one
                 assert frozenset(np.flatnonzero(delivered[j])) == delivered_one
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        data=st.data(),
+    )
+    def test_matches_pure_python_oracle_with_ties(self, n, data):
+        # integer-valued delays from {0, 1, 2, 3}: most rows hold ties,
+        # also at the k-th smallest value
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        rows = data.draw(
+            st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=12)
+        )
+        groups = [data.draw(st.permutations(range(n)))[:k] for _ in rows]
+        delays = np.array(rows, dtype=float)
+        y, delivered = run_rounds(EarliestK(k), delays)
+        for j, row in enumerate(rows):
+            first_k = sorted((delay, index) for index, delay in enumerate(row))[:k]
+            assert y[j] == first_k[-1][0]
+            assert set(np.flatnonzero(delivered[j])) == {index for _, index in first_k}
+        y, delivered = run_rounds(PreSelectedK(k), delays, groups=np.array(groups))
+        for j, (row, group) in enumerate(zip(rows, groups)):
+            slowest = max(row[i] for i in group)
+            assert y[j] == slowest
+            assert set(np.flatnonzero(delivered[j])) == {i for i in range(n) if row[i] <= slowest}
+        y, delivered = run_rounds(WaitForAll(), delays)
+        assert y.tolist() == [max(row) for row in rows] and delivered.all()
+
     def test_earliest_delivers_exactly_k(self):
         delays = sample_delay_matrix(ShiftedExponential(1.0), 500, 7, RandomStream(3))
         _, delivered = run_rounds(EarliestK(3), delays)
@@ -188,17 +215,22 @@ def reference_simulate(config):
 
 class TestEngineMatchesScalarReference:
     @pytest.mark.parametrize(
-        "policy",
+        "policy, n",
         [
-            WaitForAll(),
-            EarliestK(1),
-            EarliestK(2),
-            PreSelectedK(2, regroup="fixed"),
+            (WaitForAll(), 3),
+            (EarliestK(1), 3),
+            (EarliestK(2), 3),
+            (PreSelectedK(2, regroup="fixed"), 3),
+            (EarliestK(3), 6),
+            # 40 nodes share one delivery per round: most nodes get none in
+            # a chunk of 50 rounds
+            (EarliestK(1), 40),
         ],
+        ids=["policy0", "policy1", "policy2", "policy3", "earliest3_of_6", "earliest1_of_40"],
     )
-    def test_per_node_averages_identical(self, policy):
+    def test_per_node_averages_identical(self, policy, n):
         config = SimConfig(
-            n=3,
+            n=n,
             policy=policy,
             model=ShiftedExponential(1.3, 0.4),
             updates=400,
@@ -280,6 +312,25 @@ class TestOracleAgreement:
         )
 
 
+class TestErrorCalibration:
+    def test_z_scores_are_calibrated(self):
+        # batch-means z scores against the exact age over 300 fixed seeds:
+        # with 32 batches z follows Student t (31 dof, standard deviation
+        # 1.034); 300 samples estimate that within about +-0.04
+        exact = age_earliest_k(1.0, 1.0, 5, 2).total
+        z = []
+        for seed in range(300):
+            config = SimConfig(
+                n=5, policy=EarliestK(2), model=ShiftedExponential(1.0, 1.0),
+                updates=5_000, warmup=200, seed=seed,
+            )
+            result = simulate(config)
+            z.append((result.grand_mean - exact) / result.std_error)
+        z = np.array(z)
+        assert 0.85 <= z.std(ddof=1) <= 1.20
+        assert np.mean(np.abs(z) > 3) <= 0.02
+
+
 class TestDeliveryStatistics:
     def test_earliest_fraction_is_k_over_n(self):
         config = SimConfig(
@@ -340,6 +391,41 @@ class TestDeterminismAndAggregation:
         assert a.grand_mean == b.grand_mean
         assert a.std_error == b.std_error
         assert a.virtual_time == b.virtual_time
+
+    # grand mean, std error, virtual time and delivery counts of one run per
+    # policy, recorded with the per-node engine loop (package version 0.2.0):
+    # the random streams are pinned, only area sums may move in their last bits
+    PINNED = [
+        (WaitForAll(), 3.747621505938757, 0.008019297591899382, 82013.51147343863, [20000] * 20),
+        (
+            EarliestK(7), 2.9109553695195154, 0.004632407123302904, 18356.23708561449,
+            [6964, 7102, 7000, 6832, 6904, 6853, 7250, 6940, 6828, 7083,
+             7011, 7053, 7037, 7058, 7031, 6934, 7010, 7058, 7013, 7039],
+        ),
+        (
+            PreSelectedK(7), 3.3395896661260176, 0.007363197409939302, 61919.374159457446,
+            [18346, 18417, 18418, 18331, 18281, 18308, 18400, 18373, 18386, 18445,
+             18386, 18378, 18391, 18343, 18379, 18364, 18460, 18382, 18334, 18378],
+        ),
+        (
+            PreSelectedK(7, regroup="fixed"), 3.347345749964563, 0.006046426964641405,
+            62027.17930415022,
+            [17491, 20000, 17559, 20000, 17445, 17489, 17614, 17518, 20000, 17548,
+             17542, 20000, 17469, 20000, 17496, 17528, 20000, 20000, 17463, 17461],
+        ),
+    ]
+
+    @pytest.mark.parametrize("policy, grand_mean, std_error, virtual_time, counts", PINNED)
+    def test_pinned_results(self, policy, grand_mean, std_error, virtual_time, counts):
+        config = SimConfig(
+            n=20, policy=policy, model=ShiftedExponential(1.0, 0.5), updates=20_000, seed=5
+        )
+        result = simulate(config)
+        assert result.grand_mean == pytest.approx(grand_mean, rel=1e-12, abs=0)
+        # a spread of 32 batch means: it amplifies last-bit changes of the sums
+        assert result.std_error == pytest.approx(std_error, rel=1e-10, abs=0)
+        assert result.virtual_time == virtual_time
+        np.testing.assert_array_equal(result.delivery_fraction, np.array(counts) / 20_000)
 
     def test_all_k_equals_n_policies_identical(self):
         results = []
@@ -421,11 +507,10 @@ class TestFailureModes:
             PreSelectedK(2, regroup="sometimes")
 
     def test_too_few_updates_for_statistics(self):
-        config = SimConfig(
-            n=2, policy=EarliestK(1), model=ShiftedExponential(1, 0), updates=99, seed=1
-        )
-        with pytest.raises(ValueError):
-            simulate(config)
+        with pytest.raises(ValueError, match="at least 100 measured updates"):
+            SimConfig(
+                n=2, policy=EarliestK(1), model=ShiftedExponential(1, 0), updates=99, seed=1
+            )
 
 
 class TestTrace:
