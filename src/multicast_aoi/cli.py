@@ -1,6 +1,7 @@
 """Command-line front end: analytics, simulation, optimization, experiments.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 argument error.
+Exit codes: 0 success, 1 validation-suite failure, 2 argument error
+(including a simulation too short to give every node an update).
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ from .experiments import (
     run_fig6,
     run_validation,
 )
-from .simulator import EarliestK, PreSelectedK, SimConfig, WaitForAll, replicate
+from .simulator import (
+    EarliestK,
+    PreSelectedK,
+    SimConfig,
+    SimulationError,
+    WaitForAll,
+    replicate,
+)
 
 _SCHEME_NAMES = {
     "wait-for-all": "wait_for_all",
@@ -114,6 +122,8 @@ def _analyze(args) -> int:
             "analyze evaluates shifted-exponential closed forms; "
             "--hyperexp has no analytic age (use the simulate subcommand)"
         )
+    if args.lam is None:
+        raise _CliError("analyze requires --lambda")
     if args.k is not None and args.alpha is not None:
         raise _CliError("--k and --alpha are mutually exclusive; give exactly one")
 
@@ -335,6 +345,9 @@ def _optimize(args) -> int:
 
 
 def _experiment(args) -> int:
+    for flag, step in (("--step", args.step), ("--n-step", args.n_step)):
+        if step < 1:
+            raise _CliError(f"{flag} must be >= 1, got {step}")
     seed = args.seed if args.seed is not None else _default_seed()
     if args.figure == "fig4":
         rows = run_fig4(
@@ -462,7 +475,7 @@ def main(argv=None) -> int:
         if args.command == "optimize" and args.lam is None:
             raise _CliError("optimize requires --lambda")
         return args.handler(args)
-    except (_CliError, ValueError) as exc:
+    except (_CliError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

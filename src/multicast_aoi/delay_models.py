@@ -42,6 +42,9 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 _MAX_SEED = 2**64
+# HyperExponential.sample turns component uniforms into rates in blocks of
+# this many draws, so that its index arrays stay small.
+_SAMPLE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, eq=True)
@@ -102,11 +105,21 @@ class ShiftedExponential:
         """Lower bound of the support."""
         return self.shift
 
-    def sample(self, stream: RandomStream, size=None):
-        # Inverse CDF on u in (0, 1]: shift - log(u)/rate; u is never 0 so
-        # the draw is always finite and >= shift.
-        u = stream.generator.random(size)
-        return self.shift - np.log1p(-u) / self.rate
+    def sample(self, stream: RandomStream, size=None, out=None):
+        """Draw one delay (a numpy scalar), or an array of ``size``.
+
+        ``out``, a contiguous float64 array, receives the draws in place of
+        a new array and is returned.
+        """
+        # Inverse CDF on u in [0, 1): shift - log1p(-u)/rate, always finite
+        # and >= shift.
+        if size is None and out is None:
+            return self.shift - np.log1p(-stream.generator.random()) / self.rate
+        u = stream.generator.random(size, out=out)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.divide(u, self.rate, out=u)
+        return np.subtract(self.shift, u, out=u)
 
     def label(self) -> str:
         return f"shifted_exp(rate={self.rate:g},shift={self.shift:g})"
@@ -146,13 +159,37 @@ class HyperExponential:
     def min_delay(self) -> float:
         return 0.0
 
-    def sample(self, stream: RandomStream, size=None):
+    def _component(self, u):
+        # The number of cumulative-weight edges at or below u, over all but
+        # the last edge: the weights may sum to a little below 1.
+        return sum(u >= edge for edge in self._cum_weights[:-1])  # type: ignore[attr-defined]
+
+    def sample(self, stream: RandomStream, size=None, out=None):
+        """Draw one delay (a numpy scalar), or an array of ``size``.
+
+        ``out``, a contiguous float64 array, receives the draws in place of
+        a new array and is returned.  All component uniforms are drawn
+        before all value uniforms.
+        """
         gen = stream.generator
-        u_comp = gen.random(size)
-        comp = np.searchsorted(self._cum_weights, u_comp, side="right")  # type: ignore[attr-defined]
-        comp = np.minimum(comp, len(self.rates) - 1)
-        u_val = gen.random(size)
-        return -np.log1p(-u_val) / self._rates_arr[comp]  # type: ignore[attr-defined]
+        rates = self._rates_arr  # type: ignore[attr-defined]
+        if size is None and out is None:
+            comp = self._component(gen.random())
+            return -np.log1p(-gen.random()) / rates[comp]
+        out = gen.random(size, out=out)
+        # The component uniforms fill out first; block by block, each is
+        # turned into a component index and its place takes the next value
+        # uniform, so no array of the full size is allocated.
+        flat = out.ravel(order="K")
+        for start in range(0, flat.size, _SAMPLE_BLOCK):
+            block = flat[start:start + _SAMPLE_BLOCK]
+            comp = self._component(block)
+            gen.random(out=block)
+            np.negative(block, out=block)
+            np.log1p(block, out=block)
+            np.negative(block, out=block)
+            np.divide(block, rates[comp], out=block)
+        return out
 
     def label(self) -> str:
         r = "|".join(f"{x:g}" for x in self.rates)

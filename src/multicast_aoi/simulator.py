@@ -12,9 +12,12 @@ deterministic given ``(seed, replication index)`` for a given package
 version.  Per block it samples the delays, resolves every round at once
 (earliest-k takes the k-th smallest delay with a partition, not a sort)
 and credits all deliveries in one pass over a node-major flat array, with
-no loop over nodes.  Scalar building blocks (:func:`run_round`,
-:func:`accumulate_delivery`) implement the same semantics one step at a
-time and serve as the reference for tests.
+no loop over nodes.  Each run keeps one workspace of flat buffers that
+every block reuses: the delays are drawn into it, and resolution and
+accumulation work in it in place, so that a block costs no fresh pages.
+Scalar building blocks (:func:`run_round`, :func:`accumulate_delivery`)
+implement the same semantics one step at a time and serve as the
+reference for tests.
 """
 
 from __future__ import annotations
@@ -47,9 +50,13 @@ __all__ = [
 _REGROUP_MODES = ("per_update", "fixed")
 _CHUNK_ELEMENTS = 4_000_000
 # Rounds are accumulated in slices of this many (round, node) elements, so
-# that the arrays of _accumulate_block's passes stay in the CPU cache: at
-# n = 100 on a 2-core x86-64 VM, wait-for-all ran 1.6-2x slower with
-# 2**18-element slices and slower still with whole 4e6-element chunks.
+# that the arrays of _accumulate_block's passes stay in the CPU cache.  On a
+# 2-core x86-64 VM (AVX-512, numpy 2.4), best of four 51 000-round runs per
+# policy: at n = 100, 2**15 was fastest for every policy, 2**18-element
+# slices ran 1.04-1.2x slower and 2**13 1.1-1.2x; at n = 200, 2**16-2**17
+# were up to 4% faster for earliest-k and 2**15 fastest for the others.
+# (The 1.6-2x once seen for wait-for-all at 2**18 came from the page faults
+# of fresh allocations in every slice.)
 _SLICE_ELEMENTS = 1 << 15
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 _MAX_BATCHES = 32
@@ -150,11 +157,34 @@ def accumulate_delivery(state: NodeAgeState, delivery_wall: float, gen_timestamp
     state.last_gen_timestamp = gen_timestamp
 
 
+class _Workspace:
+    """Flat buffers that the engine reuses from chunk to chunk.
+
+    ``array(name, shape, dtype)`` returns a view of the buffer ``name``,
+    allocated on first use and replaced by a larger one when a shape needs
+    more; its contents are whatever the last user left.  Reuse saves the
+    page faults of fresh allocations: every large array of the engine lives
+    here, and what a view holds is safe only until its name is asked for
+    again.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def array(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
 def run_rounds(
     policy: StoppingPolicy,
     delays: np.ndarray,
     group_stream: Optional[RandomStream] = None,
     groups: Optional[np.ndarray] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve many update rounds at once.
 
@@ -163,7 +193,8 @@ def run_rounds(
     delivery mask.  Ties are broken toward the lowest node index.  For a
     pre-selected policy, ``groups`` may fix the group (shape (k,) or
     (rounds, k)); otherwise per-update groups are drawn from
-    ``group_stream``.
+    ``group_stream``.  Without a ``workspace`` the caller owns the returned
+    arrays; with one, they are views of its buffers.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 2:
@@ -177,28 +208,40 @@ def run_rounds(
             raise ValueError("delays must be finite and nonnegative")
     rounds, n = delays.shape
     k = _policy_threshold(policy, n)
+    ws = workspace if workspace is not None else _Workspace()
+    delivered = ws.array("delivered", (rounds, n), bool)
 
     if isinstance(policy, PreSelectedK) and k < n:
         if groups is None:
             if group_stream is None:
                 raise ValueError("pre-selected policy needs a group_stream or explicit groups")
-            base = np.tile(np.arange(n), (rounds, 1))
-            groups = group_stream.generator.permuted(base, axis=1)[:, :k]
+            tile = ws.array("tile", (rounds, n), np.intp)
+            tile[...] = np.arange(n)
+            groups = group_stream.generator.permuted(tile, axis=1, out=tile)[:, :k]
         else:
-            groups = np.asarray(groups)
+            # Indexing a range checks the bounds and wraps negative indices.
+            groups = np.arange(n)[np.asarray(groups)]
             if groups.ndim == 1:
                 groups = np.broadcast_to(groups[None, :], (rounds, groups.shape[0]))
             if groups.shape != (rounds, k):
                 raise ValueError(
                     f"groups must have shape ({rounds}, {k}), got {groups.shape}"
                 )
-        y = np.take_along_axis(delays, groups, axis=1).max(axis=1)
-        delivered = delays <= y[:, None]
+        # Flat indices of the group members; they are in range, so take
+        # needs no bounds check (and no buffering).
+        flat = np.add(groups, np.arange(0, rounds * n, n)[:, None],
+                      out=ws.array("flat_groups", (rounds, k), np.intp))
+        members = np.take(delays, flat, out=ws.array("members", (rounds, k)), mode="clip")
+        y = members.max(axis=1)
+        np.less_equal(delays, y[:, None], out=delivered)
         return y, delivered
 
     if isinstance(policy, EarliestK) and k < n:
-        y = np.partition(delays, k - 1, axis=1)[:, k - 1]
-        delivered = delays <= y[:, None]
+        ordered = ws.array("partition", (rounds, n))
+        np.copyto(ordered, delays)
+        ordered.partition(k - 1, axis=1)
+        y = ordered[:, k - 1]
+        np.less_equal(delays, y[:, None], out=delivered)
         # A row holds more than k delays <= y only when several tie at y:
         # there every delay below y is delivered and the remaining places go
         # to the tied nodes, lowest index first.
@@ -212,7 +255,7 @@ def run_rounds(
 
     # Wait-for-all, or any policy with k == n.
     y = delays.max(axis=1)
-    delivered = np.ones_like(delays, dtype=bool)
+    delivered.fill(True)
     return y, delivered
 
 
@@ -281,6 +324,7 @@ def _accumulate_block(
     area: np.ndarray,
     span: np.ndarray,
     count: np.ndarray,
+    ws: _Workspace,
 ) -> None:
     """Apply accumulate_delivery to every delivery of a block of rounds.
 
@@ -293,31 +337,44 @@ def _accumulate_block(
     from ``last_wall``/``last_gen``.  The per-node area is the sum of the
     same trapezoid terms, taken in another order than one by one, so it
     may differ from a one-by-one accumulation in its last bits; spans,
-    counts and the last delivery are exact.
+    counts and the last delivery are exact.  The block-sized arrays are
+    buffers of ``ws``; only the index of the deliveries is allocated anew
+    (``np.flatnonzero`` takes no ``out``).
     """
-    rounds = delays.shape[0]
-    per_node = np.count_nonzero(delivered, axis=0)
+    rounds, n = delays.shape
+    mask = ws.array("node_mask", (n, rounds), bool)
+    np.copyto(mask, delivered.T)
+    delivery = np.flatnonzero(mask)
+    total = delivery.size
+    per_node = np.count_nonzero(mask, axis=1)
     hit = np.flatnonzero(per_node)
-    mask = delivered.T.ravel()
-    delay = np.compress(mask, delays.T)
-    wall = np.compress(mask, (t_prev[:, None] + delays).T)
     last = np.cumsum(per_node[hit]) - 1
     first = np.concatenate(([0], last[:-1] + 1))
-    # Wall time of each delivery's predecessor and the age right after it
-    # (the predecessor's own delay).
-    prev_wall = np.empty_like(wall)
-    prev_wall[1:] = wall[:-1]
-    prev_wall[first] = last_wall[hit]
-    a0 = np.empty_like(delay)
-    a0[1:] = delay[:-1]
-    a0[first] = last_wall[hit] - last_gen[hit]
-    g = wall - prev_wall
-    area[hit] += np.add.reduceat(a0 * g + 0.5 * g * g, first)
+    node_major = ws.array("node_major", (n, rounds))
+    np.copyto(node_major, delays.T)
+    delay = np.take(node_major, delivery, out=ws.array("delay", (total,)), mode="clip")
+    node_major[...] = t_prev
+    wall = np.take(node_major, delivery, out=ws.array("wall", (total,)), mode="clip")
+    gen = wall[last]
+    np.add(wall, delay, out=wall)
+    # g is the gap since each delivery's predecessor; the age right after
+    # the predecessor is the predecessor's own delay.
+    g = ws.array("gap", (total,))
+    np.subtract(wall[1:], wall[:-1], out=g[1:])
+    g[first] = wall[first] - last_wall[hit]
+    term = ws.array("term", (total,))
+    term[1:] = delay[:-1]
+    term[first] = last_wall[hit] - last_gen[hit]
+    # a0*g + 0.5*g*g, formed in place; delay is no longer needed.
+    np.multiply(term, g, out=term)
+    np.multiply(0.5, g, out=delay)
+    np.multiply(delay, g, out=delay)
+    np.add(term, delay, out=term)
+    area[hit] += np.add.reduceat(term, first)
     span[hit] += wall[last] - last_wall[hit]
     count += per_node
-    last_row = rounds - 1 - np.argmax(delivered[::-1], axis=0)
     last_wall[hit] = wall[last]
-    last_gen[hit] = t_prev[last_row[hit]]
+    last_gen[hit] = gen
 
 
 def _write_trace_rows(writer, start_round, t_prev, y, delays, delivered, last_gen_before):
@@ -354,6 +411,7 @@ def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> 
     count = np.zeros(n, dtype=np.int64)
     t = 0.0
     round_index = 0
+    ws = _Workspace()
     chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
     slice_rounds = max(1, _SLICE_ELEMENTS // n)
 
@@ -363,9 +421,9 @@ def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> 
         done = 0
         while done < rounds:
             r = min(chunk_rounds, rounds - done)
-            delays = model.sample(delay_stream, (r, n))
+            delays = model.sample(delay_stream, out=ws.array("delays", (r, n)))
             y, delivered = run_rounds(
-                policy, delays, group_stream=group_stream, groups=fixed_group
+                policy, delays, group_stream=group_stream, groups=fixed_group, workspace=ws
             )
             cs = np.cumsum(y)
             t_prev = t + np.concatenate(([0.0], cs[:-1]))
@@ -375,7 +433,7 @@ def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> 
                 rows = slice(first, first + slice_rounds)
                 _accumulate_block(
                     t_prev[rows], delays[rows], delivered[rows],
-                    last_wall, last_gen, area, span, count,
+                    last_wall, last_gen, area, span, count, ws,
                 )
             if trace_writer is not None:
                 _write_trace_rows(trace_writer, round_index, t_prev, y, delays, delivered, gen_before)

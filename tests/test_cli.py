@@ -92,6 +92,13 @@ class TestAnalyze:
         )
         assert code == 2 and "simulate" in err
 
+    def test_requires_lambda(self, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--scheme", "earliest-k", "--n", "5", "--k", "2"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err == "error: analyze requires --lambda\n"
+
     def test_process_age_at_tiny_rate_is_finite(self, capsys):
         # squared means near 1e340 are never formed; at rate*shift = 1e-170
         # the age is 1e170 times the age at rate 1, shift 0
@@ -245,6 +252,16 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_starved_nodes_are_an_argument_error(self, capsys):
+        # 100 rounds of earliest-1 among 100 nodes leave some node without an update
+        code, out, err = run_cli(
+            ["simulate", "--scheme", "earliest-k", "--lambda", "1", "--n", "100", "--k", "1",
+             "--updates", "100", "--warmup", "0"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: nodes [") and "try more rounds" in err
+
     def test_env_seed_used(self, capsys, monkeypatch):
         monkeypatch.setenv("AOI_SEED", "99")
         code, out, _ = run_cli(self.BASE[:-2], capsys)  # drop --seed 7
@@ -276,6 +293,28 @@ class TestExperimentAndValidate:
         assert code == 0
         payload = json.loads(out)
         assert {row["model"].split("(")[0] for row in payload} == {"shifted_exp", "hyperexp"}
+
+    def test_short_sweep_is_an_argument_error(self, capsys):
+        code, out, err = run_cli(
+            ["experiment", "fig4", "--step", "50", "--rounds", "200", "--warmup", "0"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: nodes [") and "try more rounds" in err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["fig4", "--step", "0"], "--step"),
+            (["fig4", "--step", "-3"], "--step"),
+            (["fig5", "--step", "-1"], "--step"),
+            (["fig6", "--n-step", "0"], "--n-step"),
+            (["fig6", "--n-step", "-2"], "--n-step"),
+        ],
+    )
+    def test_step_below_one_rejected(self, capsys, args, flag):
+        code, out, err = run_cli(["experiment"] + args + ["--rounds", "200"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be >= 1, got {args[-1]}\n"
 
     def test_validate_passes(self, capsys):
         code, out, _ = run_cli(

@@ -75,6 +75,103 @@ class TestModels:
             bad()
 
 
+# The samplers as they were written before they drew in place; the
+# in-place versions must give the same bits on the same stream.
+def reference_shifted_sample(model, stream, size=None):
+    u = stream.generator.random(size)
+    return model.shift - np.log1p(-u) / model.rate
+
+
+def reference_hyper_sample(model, stream, size=None):
+    gen = stream.generator
+    u_comp = gen.random(size)
+    comp = np.searchsorted(np.cumsum(model.weights), u_comp, side="right")
+    comp = np.minimum(comp, len(model.rates) - 1)
+    u_val = gen.random(size)
+    return -np.log1p(-u_val) / np.asarray(model.rates)[comp]
+
+
+class _ScriptedGenerator:
+    """Hands out prepared uniforms in order, through Generator.random's interface."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self, size=None, out=None):
+        if size is None and out is None:
+            return next(self._values)
+        target = np.empty(size) if out is None else out
+        flat = target.reshape(-1)
+        for i in range(flat.size):
+            flat[i] = next(self._values)
+        return target
+
+
+class _ScriptedStream:
+    def __init__(self, values):
+        self.generator = _ScriptedGenerator(values)
+
+
+SAMPLERS = [
+    (ShiftedExponential(1.0, 1.0), reference_shifted_sample),
+    (ShiftedExponential(0.37, 0.0), reference_shifted_sample),
+    (HyperExponential((1.0, 6.0), (0.4, 0.6)), reference_hyper_sample),
+    # a zero weight: the middle component is never drawn
+    (HyperExponential((1.0, 3.0, 6.0), (0.2, 0.0, 0.8)), reference_hyper_sample),
+    (HyperExponential((2.5,), (1.0,)), reference_hyper_sample),
+]
+SAMPLER_IDS = ["exp_1_1", "exp_0.37", "hyper2", "hyper3_zero_weight", "hyper1"]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSamplersBitIdentical:
+    @pytest.mark.parametrize("model, reference", SAMPLERS, ids=SAMPLER_IDS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1562, 100)])
+    @pytest.mark.parametrize("seed", [0, 905])
+    def test_array_draws(self, model, reference, shape, seed):
+        expected = reference(model, RandomStream(seed, 4), shape)
+        assert same_bits(model.sample(RandomStream(seed, 4), shape), expected)
+        out = np.empty(shape)
+        assert model.sample(RandomStream(seed, 4), out=out) is out
+        assert same_bits(out, expected)
+
+    @pytest.mark.parametrize("model, reference", SAMPLERS, ids=SAMPLER_IDS)
+    def test_scalar_draw_is_a_numpy_float(self, model, reference):
+        for seed in range(5):
+            draw = model.sample(RandomStream(seed))
+            assert type(draw) is np.float64
+            assert same_bits(draw, reference(model, RandomStream(seed)))
+
+    def test_consecutive_draws_into_one_buffer_follow_the_stream(self):
+        model = HyperExponential((1.0, 6.0), (0.4, 0.6))
+        stream, reference_stream = RandomStream(12), RandomStream(12)
+        out = np.empty((300, 50))
+        for rows in (300, 17, 1):
+            view = out[:rows]
+            model.sample(stream, out=view)
+            assert same_bits(view, reference_hyper_sample(model, reference_stream, (rows, 50)))
+
+    def test_uniform_above_the_last_cumulative_weight(self):
+        # weights summing to 1 - 5e-13 leave room for a component uniform
+        # above the last edge; it selects the last component
+        model = HyperExponential((1.0, 3.0), (0.5, 0.5 - 5e-13))
+        assert math.fsum(model.weights) < 1.0
+        high = 1.0 - 2.0**-53
+        comp_u = [0.2, high, 0.7, 1.0 - 5e-13, high, 0.0]
+        value_u = [0.5, 0.25, 0.125, 0.9, 0.0, 0.3]
+        expected = reference_hyper_sample(model, _ScriptedStream(comp_u + value_u), (2, 3))
+        drawn = model.sample(_ScriptedStream(comp_u + value_u), (2, 3))
+        assert same_bits(drawn, expected)
+        assert drawn[0, 1] == pytest.approx(-math.log1p(-0.25) / 3.0, rel=1e-12)
+        scalar = model.sample(_ScriptedStream([high, 0.5]))
+        assert same_bits(scalar, reference_hyper_sample(model, _ScriptedStream([high, 0.5])))
+        assert scalar == pytest.approx(-math.log1p(-0.5) / 3.0, rel=1e-12)
+
+
 class TestRandomStream:
     def test_reproducible(self):
         a = ShiftedExponential(1.0, 0.0).sample(RandomStream(42, 3), 1000)

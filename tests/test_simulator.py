@@ -28,6 +28,7 @@ from multicast_aoi import (
     sample_delay_matrix,
     simulate,
 )
+from multicast_aoi.simulator import _SLICE_ELEMENTS, _Workspace, _accumulate_block
 
 
 class TestRunRound:
@@ -257,6 +258,90 @@ class TestEngineMatchesScalarReference:
         np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
 
 
+def drive_engine(policy, model, n, chunk_rounds, seed, reuse):
+    """Sample, resolve and accumulate consecutive chunks as the engine does.
+
+    With ``reuse`` one workspace serves every chunk; without it, every call
+    gets fresh arrays.  Returns, per chunk, ``y``, the delivery mask and the
+    per-node state after the chunk.  Asserts that no call writes the arrays
+    it is handed.
+    """
+    delay_stream, group_stream = RandomStream(seed, 0), RandomStream(seed, 1)
+    last_wall, last_gen, area, span = (np.zeros(n) for _ in range(4))
+    count = np.zeros(n, dtype=np.int64)
+    workspace = _Workspace()
+    slice_rounds = max(1, _SLICE_ELEMENTS // n)
+    t = 0.0
+    records = []
+    for rounds in chunk_rounds:
+        if reuse:
+            delays = model.sample(delay_stream, out=workspace.array("delays", (rounds, n)))
+        else:
+            delays = model.sample(delay_stream, (rounds, n))
+        delays_before = delays.copy()
+        y, delivered = run_rounds(
+            policy, delays, group_stream=group_stream, workspace=workspace if reuse else None
+        )
+        np.testing.assert_array_equal(delays, delays_before)
+        record = [y.copy(), delivered.copy()]
+        cs = np.cumsum(y)
+        t_prev = t + np.concatenate(([0.0], cs[:-1]))
+        t_prev_before = t_prev.copy()
+        for first in range(0, rounds, slice_rounds):
+            rows = slice(first, first + slice_rounds)
+            _accumulate_block(
+                t_prev[rows], delays[rows], delivered[rows],
+                last_wall, last_gen, area, span, count,
+                workspace if reuse else _Workspace(),
+            )
+        np.testing.assert_array_equal(delays, delays_before)
+        np.testing.assert_array_equal(t_prev, t_prev_before)
+        np.testing.assert_array_equal(delivered, record[1])
+        t += float(cs[-1])
+        records.append(record + [a.copy() for a in (last_wall, last_gen, area, span, count)])
+    return records
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize(
+        "policy, model, n",
+        [
+            (WaitForAll(), ShiftedExponential(1.0, 1.0), 100),
+            (EarliestK(73), ShiftedExponential(1.0, 1.0), 100),
+            (PreSelectedK(73), ShiftedExponential(1.0, 1.0), 100),
+            (EarliestK(50), HyperExponential((1.0, 6.0), (0.4, 0.6)), 100),
+            (WaitForAll(), ShiftedExponential(1.0, 1.0), 1),
+            (EarliestK(1), ShiftedExponential(0.5, 0.0), 1),
+            (PreSelectedK(1), ShiftedExponential(0.5, 0.0), 1),
+        ],
+        ids=["wait_for_all", "earliest_k", "preselected_k", "hyperexp",
+             "n1_wait_for_all", "n1_earliest_k", "n1_preselected_k"],
+    )
+    def test_reused_buffers_match_fresh_arrays(self, policy, model, n):
+        # later chunks see views of buffers that still hold the earlier
+        # chunks' values; at n = 1 the last chunk also grows them
+        chunks = (1562, 1000, 1) if n > 1 else (1562, 1000, 1, 40_000)
+        fresh = drive_engine(policy, model, n, chunks, seed=41, reuse=False)
+        reused = drive_engine(policy, model, n, chunks, seed=41, reuse=True)
+        for fresh_chunk, reused_chunk in zip(fresh, reused):
+            for a, b in zip(fresh_chunk, reused_chunk):
+                assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(2), PreSelectedK(2)])
+    def test_second_call_leaves_first_results_alone(self, policy):
+        first_delays = ShiftedExponential(1.0, 0.0).sample(RandomStream(2), (50, 5))
+        y, delivered = run_rounds(policy, first_delays, group_stream=RandomStream(3))
+        y_copy, delivered_copy = y.copy(), delivered.copy()
+        run_rounds(policy, first_delays[::-1].copy(), group_stream=RandomStream(4))
+        assert_same_bits(y, y_copy)
+        assert_same_bits(delivered, delivered_copy)
+
+
 class TestOracleAgreement:
     def assert_close(self, config, expected, sigmas=4.0):
         result = simulate(config)
@@ -426,6 +511,37 @@ class TestDeterminismAndAggregation:
         assert result.std_error == pytest.approx(std_error, rel=1e-10, abs=0)
         assert result.virtual_time == virtual_time
         np.testing.assert_array_equal(result.delivery_fraction, np.array(counts) / 20_000)
+
+    # float.hex of grand mean, std error and virtual time of the runs above
+    # (and a hyper-exponential earliest-k run), recorded with version 0.3.0
+    # on x86-64 with numpy 2.4: no engine change that keeps every random
+    # stream may move a bit
+    PINNED_BITS = [
+        (WaitForAll(), None,
+         "0x1.dfb20fbee588ap+1", "0x1.06c6be7271d93p-7", "0x1.405d82efec5bbp+16"),
+        (EarliestK(7), None,
+         "0x1.749a2f8019d85p+1", "0x1.2f96e518a9ec2p-8", "0x1.1ed0f2c692426p+14"),
+        (PreSelectedK(7), None,
+         "0x1.ab77ac9709102p+1", "0x1.e28df411d68edp-8", "0x1.e3bebf91d4127p+15"),
+        (PreSelectedK(7, regroup="fixed"), None,
+         "0x1.ac75d356404e6p+1", "0x1.8c4236121f1f2p-8", "0x1.e4965bcdc0ea7p+15"),
+        (EarliestK(7), HyperExponential((1.0, 6.0), (0.4, 0.6)),
+         "0x1.65b1c1507099bp-2", "0x1.889eefe059b9cp-10", "0x1.252fc72e296c4p+11"),
+    ]
+
+    @pytest.mark.parametrize(
+        "policy, model, grand_mean, std_error, virtual_time", PINNED_BITS,
+        ids=["wait_for_all", "earliest_k", "preselected_k", "preselected_k_fixed", "hyperexp"],
+    )
+    def test_pinned_bits(self, policy, model, grand_mean, std_error, virtual_time):
+        config = SimConfig(
+            n=20, policy=policy, model=model or ShiftedExponential(1.0, 0.5),
+            updates=20_000, seed=5,
+        )
+        result = simulate(config)
+        assert result.grand_mean.hex() == grand_mean
+        assert result.std_error.hex() == std_error
+        assert result.virtual_time.hex() == virtual_time
 
     def test_all_k_equals_n_policies_identical(self):
         results = []
