@@ -69,4 +69,4 @@ from .simulator import (
     simulate,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

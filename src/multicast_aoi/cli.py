@@ -129,6 +129,8 @@ def _analyze(args) -> int:
 
     exact = approx = process = None
     if scheme == "wait_for_all":
+        if args.k is not None:
+            raise _CliError("--k does not apply to --scheme wait-for-all")
         if args.alpha is not None:
             raise _CliError("--alpha applies only to --scheme earliest-k")
         if args.n is None:
@@ -352,7 +354,7 @@ def _experiment(args) -> int:
     if args.figure == "fig4":
         rows = run_fig4(
             k_step=args.step,
-            rounds=args.rounds if args.rounds else 100_000,
+            rounds=args.rounds if args.rounds is not None else 100_000,
             warmup=args.warmup,
             replications=args.replications,
             seed=seed,
@@ -360,7 +362,7 @@ def _experiment(args) -> int:
     elif args.figure == "fig5":
         rows = run_fig5(
             k_step=args.step,
-            rounds=args.rounds if args.rounds else 100_000,
+            rounds=args.rounds if args.rounds is not None else 100_000,
             warmup=args.warmup,
             replications=args.replications,
             seed=seed,
@@ -369,7 +371,7 @@ def _experiment(args) -> int:
         n_values = tuple(range(args.n_min, args.n_max + 1, args.n_step))
         rows = run_fig6(
             n_values=n_values,
-            rounds=args.rounds if args.rounds else 1_000_000,
+            rounds=args.rounds if args.rounds is not None else 1_000_000,
             warmup=args.warmup,
             replications=args.replications,
             seed=seed,

@@ -10,11 +10,13 @@ the accumulated sawtooth area divided by the observed span.
 The engine advances whole blocks of rounds with vectorized numpy and is
 deterministic given ``(seed, replication index)`` for a given package
 version.  Per block it samples the delays, resolves every round at once
-(earliest-k takes the k-th smallest delay with a partition, not a sort)
-and credits all deliveries in one pass over a node-major flat array, with
-no loop over nodes.  Each run keeps one workspace of flat buffers that
-every block reuses: the delays are drawn into it, and resolution and
-accumulation work in it in place, so that a block costs no fresh pages.
+(earliest-k takes the k-th smallest delay with a partition, not a sort;
+a per-update pre-selected group is never materialized, only the rank of
+its slowest member is drawn, see :func:`run_rounds`) and credits all
+deliveries in one pass over a node-major flat array, with no loop over
+nodes.  Each run keeps one workspace of flat buffers that every block
+reuses: the delays are drawn into it, and resolution and accumulation
+work in it in place, so that a block costs no fresh pages.
 Scalar building blocks (:func:`run_round`, :func:`accumulate_delivery`)
 implement the same semantics one step at a time and serve as the
 reference for tests.
@@ -89,7 +91,9 @@ class PreSelectedK:
     Non-group nodes still receive the update whenever their delay beats
     the group's slowest member.  ``regroup`` controls whether the group is
     redrawn for every update (``per_update``, the analyzed mode) or drawn
-    once and kept (``fixed``).
+    once and kept (``fixed``).  A per-update group is never drawn node by
+    node: only the rank of its slowest member matters, and that rank has a
+    law of its own (see :func:`run_rounds`).
     """
 
     k: int
@@ -179,6 +183,19 @@ class _Workspace:
         return buffer[:size].reshape(shape)
 
 
+def _slowest_rank_cdf(n: int, k: int) -> np.ndarray:
+    """P(R <= r) for r = k..n, R the rank of a uniform k-group's slowest member.
+
+    P(R <= r) = C(r, k)/C(n, k), built downward from P(R <= n) = 1 by
+    P(R <= r-1) = P(R <= r)*(r-k)/r: no binomials, no overflow at any n.
+    """
+    r = np.arange(n, k, -1)
+    cdf = np.empty(n - k + 1)
+    cdf[-1] = 1.0
+    cdf[-2::-1] = np.cumprod((r - k) / r)
+    return cdf
+
+
 def run_rounds(
     policy: StoppingPolicy,
     delays: np.ndarray,
@@ -192,9 +209,14 @@ def run_rounds(
     ``y[j]`` is round j's duration and ``delivered[j]`` is the boolean
     delivery mask.  Ties are broken toward the lowest node index.  For a
     pre-selected policy, ``groups`` may fix the group (shape (k,) or
-    (rounds, k)); otherwise per-update groups are drawn from
-    ``group_stream``.  Without a ``workspace`` the caller owns the returned
-    arrays; with one, they are views of its buffers.
+    (rounds, k)); otherwise per-update groups come from ``group_stream``,
+    one uniform per round, and are never materialized.  Ranking a round's
+    delays (ties by node index), the slowest member of a uniform k-group
+    drawn independently of the delays has rank R with
+    P(R = r) = C(r-1, k-1)/C(n, k), r = k..n, whatever the delays are; so
+    the R-th smallest delay as ``y`` gives ``(y, delivered)`` the law of an
+    explicit group, ties included.  Without a ``workspace`` the caller owns
+    the returned arrays; with one, they may be views of its buffers.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 2:
@@ -215,9 +237,15 @@ def run_rounds(
         if groups is None:
             if group_stream is None:
                 raise ValueError("pre-selected policy needs a group_stream or explicit groups")
-            tile = ws.array("tile", (rounds, n), np.intp)
-            tile[...] = np.arange(n)
-            groups = group_stream.generator.permuted(tile, axis=1, out=tile)[:, :k]
+            # Column R - 1 of each sorted row, as a flat index.
+            pick = np.searchsorted(
+                _slowest_rank_cdf(n, k), group_stream.generator.random(rounds), side="right"
+            )
+            pick += np.arange(k - 1, rounds * n, n)
+            ordered = ws.array("partition", (rounds, n))
+            np.copyto(ordered, delays)
+            ordered.sort(axis=1)
+            y = np.take(ordered, pick)
         else:
             # Indexing a range checks the bounds and wraps negative indices.
             groups = np.arange(n)[np.asarray(groups)]
@@ -227,12 +255,12 @@ def run_rounds(
                 raise ValueError(
                     f"groups must have shape ({rounds}, {k}), got {groups.shape}"
                 )
-        # Flat indices of the group members; they are in range, so take
-        # needs no bounds check (and no buffering).
-        flat = np.add(groups, np.arange(0, rounds * n, n)[:, None],
-                      out=ws.array("flat_groups", (rounds, k), np.intp))
-        members = np.take(delays, flat, out=ws.array("members", (rounds, k)), mode="clip")
-        y = members.max(axis=1)
+            # Flat indices of the group members; they are in range, so take
+            # needs no bounds check (and no buffering).
+            flat = np.add(groups, np.arange(0, rounds * n, n)[:, None],
+                          out=ws.array("flat_groups", (rounds, k), np.intp))
+            members = np.take(delays, flat, out=ws.array("members", (rounds, k)), mode="clip")
+            y = members.max(axis=1)
         np.less_equal(delays, y[:, None], out=delivered)
         return y, delivered
 

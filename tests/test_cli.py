@@ -84,6 +84,14 @@ class TestAnalyze:
         )
         assert code == 2 and "--k 3" in err
 
+    def test_k_rejected_for_wait_for_all(self, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--scheme", "wait-for-all", "--lambda", "1", "--n", "5", "--k", "3"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --k does not apply to --scheme wait-for-all\n"
+
     def test_hyperexp_rejected(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--scheme", "earliest-k", "--hyperexp", "1,6:0.4,0.6",
@@ -315,6 +323,14 @@ class TestExperimentAndValidate:
         code, out, err = run_cli(["experiment"] + args + ["--rounds", "200"], capsys)
         assert code == 2 and out == ""
         assert err == f"error: {flag} must be >= 1, got {args[-1]}\n"
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6"])
+    @pytest.mark.parametrize("rounds", ["0", "-5"])
+    def test_rounds_below_minimum_rejected(self, capsys, figure, rounds):
+        # 0 once fell back to the paper default instead of reaching the check
+        code, out, err = run_cli(["experiment", figure, "--rounds", rounds], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: rounds must be >= 100, got {rounds}\n"
 
     def test_validate_passes(self, capsys):
         code, out, _ = run_cli(

@@ -1,7 +1,9 @@
 """Monte Carlo engine: round resolution, sawtooth accounting, oracle agreement."""
 
 import csv
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +30,12 @@ from multicast_aoi import (
     sample_delay_matrix,
     simulate,
 )
-from multicast_aoi.simulator import _SLICE_ELEMENTS, _Workspace, _accumulate_block
+from multicast_aoi.simulator import (
+    _SLICE_ELEMENTS,
+    _Workspace,
+    _accumulate_block,
+    _slowest_rank_cdf,
+)
 
 
 class TestRunRound:
@@ -143,6 +150,57 @@ class TestRunRounds:
         np.testing.assert_array_equal(delivered, delays <= y[:, None])
 
 
+class TestSlowestRankDraw:
+    """Per-update groups enter only through the rank of their slowest member."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50, 301, 2000])
+    def test_cdf_matches_exact_binomial_ratio(self, n):
+        for k in sorted({1, 2, n // 3, n // 2, n - 2, n - 1} & set(range(1, n))):
+            cdf = _slowest_rank_cdf(n, k)
+            assert cdf.shape == (n - k + 1,) and cdf[-1] == 1.0
+            total = math.comb(n, k)
+            for r, got in zip(range(k, n + 1), cdf):
+                exact = float(Fraction(math.comb(r, k), total))
+                # below 1e-300 (C(r, k)/C(n, k) at mid-range k and n = 2000)
+                # the downward product reaches subnormals; a uniform draw
+                # cannot resolve probabilities that small anyway
+                assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-300), (k, r)
+
+    @pytest.mark.parametrize(
+        "row, k", [([0, 1, 1, 3, 1], 2), ([2, 0, 2, 2, 1], 3), ([1, 1, 0, 1, 1], 1)]
+    )
+    def test_outcome_frequencies_with_ties(self, row, k):
+        # exact law of (y, delivered set) from all C(5, k) explicit groups
+        exact = {}
+        groups = list(itertools.combinations(range(5), k))
+        for group in groups:
+            y, delivered = run_round(PreSelectedK(k), row, group=list(group))
+            key = (y, tuple(sorted(delivered)))
+            exact[key] = exact.get(key, 0) + Fraction(1, len(groups))
+        rounds = 200_000
+        delays = np.tile(np.array(row, dtype=float), (rounds, 1))
+        y, delivered = run_rounds(PreSelectedK(k), delays, group_stream=RandomStream(61))
+        outcomes, counts = np.unique(np.column_stack([y, delivered]), axis=0, return_counts=True)
+        seen = {}
+        for outcome, count in zip(outcomes, counts):
+            key = (float(outcome[0]), tuple(int(i) for i in np.flatnonzero(outcome[1:])))
+            seen[key] = int(count)
+        assert set(seen) <= set(exact)
+        for key, p in exact.items():
+            sigma = math.sqrt(float(p * (1 - p)) / rounds)
+            assert abs(seen.get(key, 0) / rounds - float(p)) <= 4 * sigma, key
+
+    def test_one_uniform_per_round(self):
+        delays = ShiftedExponential(1.0, 0.5).sample(RandomStream(8), (300, 9))
+        y, delivered = run_rounds(PreSelectedK(4), delays, group_stream=RandomStream(9, 3))
+        stream = RandomStream(9, 3)
+        for j in range(300):
+            y_one, delivered_one = run_round(PreSelectedK(4), delays[j], group_stream=stream)
+            assert y[j] == y_one
+            assert frozenset(np.flatnonzero(delivered[j])) == delivered_one
+        assert stream.generator.random() == RandomStream(9, 3).generator.random(301)[-1]
+
+
 class TestAccumulateDelivery:
     def test_fresh_start_triangle(self):
         state = NodeAgeState()
@@ -222,12 +280,14 @@ class TestEngineMatchesScalarReference:
             (EarliestK(1), 3),
             (EarliestK(2), 3),
             (PreSelectedK(2, regroup="fixed"), 3),
+            (PreSelectedK(2), 3),
             (EarliestK(3), 6),
             # 40 nodes share one delivery per round: most nodes get none in
             # a chunk of 50 rounds
             (EarliestK(1), 40),
         ],
-        ids=["policy0", "policy1", "policy2", "policy3", "earliest3_of_6", "earliest1_of_40"],
+        ids=["policy0", "policy1", "policy2", "policy3", "preselected2_of_3",
+             "earliest3_of_6", "earliest1_of_40"],
     )
     def test_per_node_averages_identical(self, policy, n):
         config = SimConfig(
@@ -398,15 +458,15 @@ class TestOracleAgreement:
 
 
 class TestErrorCalibration:
-    def test_z_scores_are_calibrated(self):
-        # batch-means z scores against the exact age over 300 fixed seeds:
-        # with 32 batches z follows Student t (31 dof, standard deviation
-        # 1.034); 300 samples estimate that within about +-0.04
-        exact = age_earliest_k(1.0, 1.0, 5, 2).total
+    # batch-means z scores against the exact age over 300 fixed seeds: with
+    # 32 batches z follows Student t (31 dof, standard deviation 1.034); 300
+    # samples estimate that within about +-0.04
+    @staticmethod
+    def assert_calibrated(policy, exact):
         z = []
         for seed in range(300):
             config = SimConfig(
-                n=5, policy=EarliestK(2), model=ShiftedExponential(1.0, 1.0),
+                n=5, policy=policy, model=ShiftedExponential(1.0, 1.0),
                 updates=5_000, warmup=200, seed=seed,
             )
             result = simulate(config)
@@ -414,6 +474,12 @@ class TestErrorCalibration:
         z = np.array(z)
         assert 0.85 <= z.std(ddof=1) <= 1.20
         assert np.mean(np.abs(z) > 3) <= 0.02
+
+    def test_z_scores_are_calibrated(self):
+        self.assert_calibrated(EarliestK(2), age_earliest_k(1.0, 1.0, 5, 2).total)
+
+    def test_preselected_z_scores_are_calibrated(self):
+        self.assert_calibrated(PreSelectedK(2), age_preselected_k_process(1.0, 1.0, 5, 2).total)
 
 
 class TestDeliveryStatistics:
@@ -478,8 +544,9 @@ class TestDeterminismAndAggregation:
         assert a.virtual_time == b.virtual_time
 
     # grand mean, std error, virtual time and delivery counts of one run per
-    # policy, recorded with the per-node engine loop (package version 0.2.0):
-    # the random streams are pinned, only area sums may move in their last bits
+    # policy, recorded with the per-node engine loop (package version 0.2.0),
+    # per-update pre-selected with its rank draw (0.4.0): the random streams
+    # are pinned, only area sums may move in their last bits
     PINNED = [
         (WaitForAll(), 3.747621505938757, 0.008019297591899382, 82013.51147343863, [20000] * 20),
         (
@@ -488,9 +555,9 @@ class TestDeterminismAndAggregation:
              7011, 7053, 7037, 7058, 7031, 6934, 7010, 7058, 7013, 7039],
         ),
         (
-            PreSelectedK(7), 3.3395896661260176, 0.007363197409939302, 61919.374159457446,
-            [18346, 18417, 18418, 18331, 18281, 18308, 18400, 18373, 18386, 18445,
-             18386, 18378, 18391, 18343, 18379, 18364, 18460, 18382, 18334, 18378],
+            PreSelectedK(7), 3.33854724659079, 0.007739294880568067, 61984.625862946516,
+            [18380, 18404, 18404, 18363, 18291, 18374, 18437, 18423, 18394, 18406,
+             18381, 18361, 18367, 18408, 18364, 18432, 18425, 18410, 18349, 18378],
         ),
         (
             PreSelectedK(7, regroup="fixed"), 3.347345749964563, 0.006046426964641405,
@@ -513,16 +580,16 @@ class TestDeterminismAndAggregation:
         np.testing.assert_array_equal(result.delivery_fraction, np.array(counts) / 20_000)
 
     # float.hex of grand mean, std error and virtual time of the runs above
-    # (and a hyper-exponential earliest-k run), recorded with version 0.3.0
-    # on x86-64 with numpy 2.4: no engine change that keeps every random
-    # stream may move a bit
+    # (and a hyper-exponential earliest-k run), recorded with version 0.3.0,
+    # per-update pre-selected with 0.4.0, on x86-64 with numpy 2.4: no engine
+    # change that keeps every random stream may move a bit
     PINNED_BITS = [
         (WaitForAll(), None,
          "0x1.dfb20fbee588ap+1", "0x1.06c6be7271d93p-7", "0x1.405d82efec5bbp+16"),
         (EarliestK(7), None,
          "0x1.749a2f8019d85p+1", "0x1.2f96e518a9ec2p-8", "0x1.1ed0f2c692426p+14"),
         (PreSelectedK(7), None,
-         "0x1.ab77ac9709102p+1", "0x1.e28df411d68edp-8", "0x1.e3bebf91d4127p+15"),
+         "0x1.ab558424210fbp+1", "0x1.fb33d267f8cbcp-8", "0x1.e44140711bae2p+15"),
         (PreSelectedK(7, regroup="fixed"), None,
          "0x1.ac75d356404e6p+1", "0x1.8c4236121f1f2p-8", "0x1.e4965bcdc0ea7p+15"),
         (EarliestK(7), HyperExponential((1.0, 6.0), (0.4, 0.6)),
