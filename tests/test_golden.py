@@ -1,10 +1,9 @@
 """CLI outputs at small sizes, byte for byte against recorded files.
 
 Each case is one CLI invocation whose stdout is stored in
-``tests/golden/<name>.txt``.  The cases cover every command and format
-except per-update pre-selected-k simulation (``simulate --scheme
-pre-selected-k`` without ``--regroup fixed``, fig5 and ``validate``), so a
-change that keeps the random streams must leave all of them untouched.
+``tests/golden/<name>.txt``.  The cases cover every command and format,
+so a change that keeps the random streams must leave all of them
+untouched.
 Floats are printed in full, so the files hold for one platform (recorded
 on x86-64 with numpy 2.4), like the pinned bits in ``test_simulator.py``.
 
@@ -30,6 +29,12 @@ _EXP = ["--warmup", "100", "--seed", "5"]
 CASES = {
     "analyze_wait_for_all": ["analyze", "--scheme", "wait-for-all", "--lambda", "1",
                              "--shift", "1", "--n", "20"],
+    "analyze_wait_for_all_json": ["analyze", "--scheme", "wait-for-all", "--lambda", "1",
+                                  "--shift", "1", "--n", "20", "--format", "json"],
+    "analyze_wait_for_all_csv": ["analyze", "--scheme", "wait-for-all", "--lambda", "1",
+                                 "--shift", "1", "--n", "20", "--format", "csv"],
+    "analyze_earliest_k": ["analyze", "--scheme", "earliest-k", "--lambda", "1.7",
+                           "--shift", "0.3", "--n", "40", "--k", "13"],
     "analyze_earliest_k_json": ["analyze", "--scheme", "earliest-k", "--lambda", "1.7",
                                 "--shift", "0.3", "--n", "40", "--k", "13", "--format", "json"],
     "analyze_earliest_k_alpha_csv": ["analyze", "--scheme", "earliest-k", "--lambda", "1",
@@ -39,6 +44,7 @@ CASES = {
     "analyze_preselected_k_csv": ["analyze", "--scheme", "pre-selected-k", "--lambda", "1",
                                   "--shift", "0.5", "--n", "20", "--k", "7", "--format", "csv"],
     "optimize": ["optimize", "--lambda", "1", "--shift", "1", "--n", "100"],
+    "optimize_memoryless": ["optimize", "--lambda", "1", "--shift", "0", "--n", "100"],
     "optimize_json": ["optimize", "--lambda", "0.5", "--shift", "3", "--n", "2000",
                       "--format", "json"],
     "optimize_csv": ["optimize", "--lambda", "2", "--shift", "0.25", "--n", "300",
@@ -55,14 +61,23 @@ CASES = {
     "simulate_preselected_k_fixed_json": ["simulate", "--scheme", "pre-selected-k", "--k", "7",
                                           "--regroup", "fixed", "--lambda", "1", "--shift",
                                           "0.5", "--format", "json"] + _SIM,
+    "simulate_preselected_k": ["simulate", "--scheme", "pre-selected-k", "--k", "7",
+                               "--lambda", "1", "--shift", "0.5"] + _SIM,
+    "simulate_preselected_k_csv": ["simulate", "--scheme", "pre-selected-k", "--k", "7",
+                                   "--lambda", "1", "--shift", "0.5", "--format", "csv"] + _SIM,
     "simulate_preselected_k_all_nodes": ["simulate", "--scheme", "pre-selected-k", "--k", "20",
                                          "--lambda", "1", "--shift", "0.5"] + _SIM,
     "experiment_fig4_csv": ["experiment", "fig4", "--rounds", "2000", "--step", "50",
+                            "--format", "csv"] + _EXP,
+    "experiment_fig4_json": ["experiment", "fig4", "--rounds", "2000", "--step", "50",
+                             "--format", "json"] + _EXP,
+    "experiment_fig5_csv": ["experiment", "fig5", "--rounds", "2000", "--step", "50",
                             "--format", "csv"] + _EXP,
     "experiment_fig6_csv": ["experiment", "fig6", "--rounds", "2000", "--n-min", "1",
                             "--n-max", "30", "--n-step", "7", "--format", "csv"] + _EXP,
     "experiment_fig6_json": ["experiment", "fig6", "--rounds", "1000", "--n-min", "3",
                              "--n-max", "5", "--replications", "2", "--format", "json"] + _EXP,
+    "validate": ["validate", "--rounds", "2000"] + _EXP,
 }
 
 
