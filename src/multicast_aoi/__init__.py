@@ -21,52 +21,41 @@ from .analytics import (
     optimal_k_exact,
 )
 from .delay_models import (
-    EULER_GAMMA,
     DelayModel,
     HyperExponential,
-    McOrderStat,
     OrderStatMoments,
     RandomStream,
     ShiftedExponential,
     harmonic,
     harmonic2,
-    model_mean,
-    model_variance,
-    order_stat_mc_oracle,
     order_stat_moments,
     partial_order_mean_sum,
-    sample_delay,
-    sample_delay_matrix,
 )
 from .experiments import (
     DEFAULT_SEED,
+    SCHEMES,
+    Scheme,
     SweepRow,
     SweepSpec,
     ValidationCell,
     ValidationReport,
-    rows_to_csv_text,
-    rows_to_json,
     run_fig4,
     run_fig5,
     run_fig6,
     run_sweep,
     run_validation,
-    write_rows_csv,
 )
 from .simulator import (
     EarliestK,
-    NodeAgeState,
     PreSelectedK,
     SimConfig,
     SimResult,
     SimulationError,
     StoppingPolicy,
     WaitForAll,
-    accumulate_delivery,
     replicate,
-    run_round,
     run_rounds,
     simulate,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

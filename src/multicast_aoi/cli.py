@@ -1,5 +1,10 @@
 """Command-line front end: analytics, simulation, optimization, experiments.
 
+Each command builds one record and hands it to one renderer: ``--format
+json`` dumps the record, ``--format csv`` writes its table (dataclass rows
+with one column per field, or the flattened results), and the human
+format writes labelled lines that the command holds as data.
+
 Exit codes: 0 success, 1 validation-suite failure, 2 argument error
 (including a simulation too short to give every node an update).
 """
@@ -7,18 +12,18 @@ Exit codes: 0 success, 1 validation-suite failure, 2 argument error
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
+
+import numpy as np
 
 from .analytics import (
     AgeResult,
     age_earliest_k,
     age_earliest_k_approx,
-    age_preselected_k,
-    age_preselected_k_approx,
-    age_preselected_k_process,
-    age_wait_for_all,
     optimal_alpha,
     optimal_k_closed_form,
     optimal_k_exact,
@@ -26,27 +31,35 @@ from .analytics import (
 from .delay_models import HyperExponential, ShiftedExponential
 from .experiments import (
     DEFAULT_SEED,
-    SweepRow,
-    rows_to_csv_text,
-    rows_to_json,
+    SCHEMES,
+    as_record,
     run_fig4,
     run_fig5,
     run_fig6,
     run_validation,
+    sweep_row,
 )
-from .simulator import (
-    EarliestK,
-    PreSelectedK,
-    SimConfig,
-    SimulationError,
-    WaitForAll,
-    replicate,
-)
+from .simulator import SimConfig, SimulationError, replicate
 
-_SCHEME_NAMES = {
-    "wait-for-all": "wait_for_all",
-    "earliest-k": "earliest_k",
-    "pre-selected-k": "preselected_k",
+_SCHEMES_BY_CLI_NAME = {scheme.cli_name: scheme for scheme in SCHEMES.values()}
+
+# Each figure's sweep, called with the parsed arguments, and its default
+# (paper) rounds per point.
+_FIGURES = {
+    "fig4": (lambda args, **run: run_fig4(k_step=args.step, **run), 100_000),
+    "fig5": (lambda args, **run: run_fig5(k_step=args.step, **run), 100_000),
+    "fig6": (lambda args, **run: run_fig6(
+        n_values=tuple(range(args.n_min, args.n_max + 1, args.n_step)), **run
+    ), 1_000_000),
+}
+
+_OPTIMIZE_LABELS = {
+    "alpha_star": "alpha*",
+    "approx_age_at_alpha_star": "approximate age at alpha*",
+    "k_closed_form": "closed-form k*",
+    "exact_age_at_k_closed_form": "exact age at closed-form k*",
+    "k_exhaustive": "exhaustive k*",
+    "exact_age_at_k_exhaustive": "exact age at exhaustive k*",
 }
 
 
@@ -58,7 +71,98 @@ def _fnum(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _default_seed() -> int:
+def _jsonable(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return as_record(value)
+
+
+def json_text(record) -> str:
+    """The record as JSON; dataclasses become ``{column: value}`` objects."""
+    return json.dumps(record, indent=2, sort_keys=True, default=_jsonable) + "\n"
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """A CSV table; missing values are empty cells, flags 1 or 0, floats in full."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return buf.getvalue()
+
+
+def table(rows) -> tuple:
+    """``(header, rows)`` of nonempty dataclass rows, one column per field."""
+    records = [as_record(row) for row in rows]
+    return tuple(records[0]), [tuple(record.values()) for record in records]
+
+
+def _flatten(record, *section):
+    for name, value in record.items():
+        if isinstance(value, dict):
+            yield from _flatten(value, *section, name)
+        else:
+            yield (*section, name, value)
+
+
+def _flat_table(record) -> tuple:
+    """``(header, rows)`` of ``name,value`` rows, under one ``section`` per nested dict."""
+    rows = list(_flatten(record))
+    return ("section",) * (len(rows[0]) - 2) + ("name", "value"), rows
+
+
+def _human_text(value) -> str:
+    if isinstance(value, AgeResult):
+        return _fnum(value.total) + "".join(
+            f"\n  {name}: {_fnum(term)}" for name, term in value.breakdown.items()
+        )
+    return _fnum(value) if isinstance(value, float) else str(value)
+
+
+def _labelled(lines) -> list[str]:
+    """Human lines of ``label: value`` pairs from dicts, pairs two spaces apart.
+
+    A None value is left out, and so is a line with no value left; an age
+    result shows its total, then one indented line per breakdown term.
+    """
+    out = []
+    for line in lines:
+        pairs = [f"{label}: {_human_text(value)}" for label, value in line.items()
+                 if value is not None]
+        if pairs:
+            out.append("  ".join(pairs))
+    return out
+
+
+def _emit(args, record, csv_table, human=None) -> None:
+    """Write a command's output in ``args.format``; without human lines, human is CSV."""
+    if args.format == "json":
+        text = json_text(record)
+    elif args.format == "csv" or human is None:
+        text = csv_text(*csv_table)
+    else:
+        text = "".join(line + "\n" for line in human)
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _seed(args) -> int:
+    """``--seed``, else the ``AOI_SEED`` environment variable, else the default."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("AOI_SEED")
     if raw is None:
         return DEFAULT_SEED
@@ -68,56 +172,40 @@ def _default_seed() -> int:
         raise _CliError(f"AOI_SEED must be an integer, got {raw!r}") from exc
 
 
-def _parse_hyperexp(text: str) -> HyperExponential:
+def _build_model(args):
+    if args.hyperexp is None:
+        if args.lam is None:
+            raise _CliError("a delay model is required: give --lambda (and --shift) or --hyperexp")
+        return ShiftedExponential(args.lam, args.shift)
+    if args.lam is not None or args.shift:
+        raise _CliError("--lambda and --shift do not apply with --hyperexp")
     try:
-        rates_text, weights_text = text.split(":")
+        rates_text, weights_text = args.hyperexp.split(":")
         rates = tuple(float(x) for x in rates_text.split(","))
         weights = tuple(float(x) for x in weights_text.split(","))
         return HyperExponential(rates, weights)
     except (ValueError, TypeError) as exc:
         raise _CliError(
-            f"--hyperexp expects 'r1,r2,...:w1,w2,...', got {text!r} ({exc})"
+            f"--hyperexp expects 'r1,r2,...:w1,w2,...', got {args.hyperexp!r} ({exc})"
         ) from exc
 
 
-def _build_model(args):
-    if getattr(args, "hyperexp", None):
-        return _parse_hyperexp(args.hyperexp)
-    if args.lam is None:
-        raise _CliError("a delay model is required: give --lambda (and --shift) or --hyperexp")
-    return ShiftedExponential(args.lam, args.shift)
-
-
-def _emit(text: str, output) -> None:
-    if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _age_block(result: AgeResult) -> dict:
-    return {
-        "total": result.total,
-        "kind": result.kind,
-        "scheme": result.scheme,
-        "params": dict(result.params),
-        "breakdown": dict(result.breakdown),
-    }
-
-
-def _age_lines(title: str, result) -> list[str]:
-    if result is None:
-        return [f"{title}: (none)"]
-    lines = [f"{title}: {_fnum(result.total)}"]
-    for name, value in result.breakdown.items():
-        lines.append(f"  {name}: {_fnum(value)}")
-    return lines
+def _scheme_k(scheme, n: int, k) -> int:
+    """The acknowledgement count that ``--scheme`` waits for out of ``--n``."""
+    if not scheme.has_k:
+        if k is not None:
+            raise _CliError(f"--k does not apply to --scheme {scheme.cli_name}")
+        return n
+    if k is None:
+        raise _CliError(f"--scheme {scheme.cli_name} requires --k")
+    if k > n:
+        raise _CliError(f"--k {k} exceeds --n {n}")
+    return k
 
 
 def _analyze(args) -> int:
-    scheme = _SCHEME_NAMES[args.scheme]
-    if getattr(args, "hyperexp", None):
+    scheme = _SCHEMES_BY_CLI_NAME[args.scheme]
+    if args.hyperexp is not None:
         raise _CliError(
             "analyze evaluates shifted-exponential closed forms; "
             "--hyperexp has no analytic age (use the simulate subcommand)"
@@ -127,97 +215,44 @@ def _analyze(args) -> int:
     if args.k is not None and args.alpha is not None:
         raise _CliError("--k and --alpha are mutually exclusive; give exactly one")
 
-    exact = approx = process = None
-    if scheme == "wait_for_all":
-        if args.k is not None:
-            raise _CliError("--k does not apply to --scheme wait-for-all")
-        if args.alpha is not None:
+    ages = {"exact": None, "approx": None}
+    if args.alpha is not None:
+        if args.scheme != "earliest-k":
             raise _CliError("--alpha applies only to --scheme earliest-k")
-        if args.n is None:
-            raise _CliError("--scheme wait-for-all requires --n")
-        exact = age_wait_for_all(args.lam, args.shift, args.n)
-    elif scheme == "earliest_k":
-        if args.alpha is not None:
-            approx = age_earliest_k_approx(args.lam, args.shift, args.alpha)
-        else:
-            if args.n is None or args.k is None:
-                raise _CliError("--scheme earliest-k requires --n and --k (or --alpha alone)")
-            if args.k > args.n:
-                raise _CliError(f"--k {args.k} exceeds --n {args.n}")
-            exact = age_earliest_k(args.lam, args.shift, args.n, args.k)
-            if args.k < args.n:
-                approx = age_earliest_k_approx(args.lam, args.shift, args.k / args.n)
-    else:
-        if args.alpha is not None:
-            raise _CliError("--alpha applies only to --scheme earliest-k")
-        if args.n is None or args.k is None:
-            raise _CliError("--scheme pre-selected-k requires --n and --k")
-        if args.k > args.n:
-            raise _CliError(f"--k {args.k} exceeds --n {args.n}")
-        exact = age_preselected_k(args.lam, args.shift, args.n, args.k)
-        approx = age_preselected_k_approx(args.lam, args.shift, args.n, args.k)
-        process = age_preselected_k_process(args.lam, args.shift, args.n, args.k)
-
-    if args.format == "json":
-        payload = {
-            "scheme": args.scheme,
-            "exact": None if exact is None else _age_block(exact),
-            "approx": None if approx is None else _age_block(approx),
-        }
-        if scheme == "preselected_k":
-            payload["process"] = _age_block(process)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        lines = ["section,name,value"]
-        for label, result in (("exact", exact), ("approx", approx), ("process", process)):
-            if result is None:
-                continue
-            lines.append(f"{label},total,{result.total!r}")
-            for name, value in result.breakdown.items():
-                lines.append(f"{label},{name},{value!r}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"scheme: {args.scheme}"]
-        lines.append(f"lambda: {_fnum(args.lam)}")
-        lines.append(f"shift: {_fnum(args.shift)}")
         if args.n is not None:
-            lines.append(f"n: {args.n}")
-        if args.k is not None:
-            lines.append(f"k: {args.k}")
-        if args.alpha is not None:
-            lines.append(f"alpha: {_fnum(args.alpha)}")
-        lines += _age_lines("exact age", exact)
-        lines += _age_lines("approximate age", approx)
-        if process is not None:
-            lines += _age_lines("process-exact age (matches simulation)", process)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+            raise _CliError("--n does not apply with --alpha; give --alpha alone")
+        ages["approx"] = age_earliest_k_approx(args.lam, args.shift, args.alpha)
+    else:
+        if args.n is None:
+            raise _CliError(f"--scheme {args.scheme} requires --n")
+        point = (args.lam, args.shift, args.n, _scheme_k(scheme, args.n, args.k))
+        estimated = scheme.estimated(*point)
+        ages["approx"] = scheme.approx(*point)
+        if scheme.published is None:
+            ages["exact"] = estimated
+        else:
+            ages["exact"] = scheme.published(*point)
+            ages["process"] = estimated
+
+    human = [{"scheme": args.scheme}, {"lambda": args.lam}, {"shift": args.shift},
+             {"n": args.n}, {"k": args.k}, {"alpha": args.alpha},
+             {"exact age": ages["exact"] or "(none)"},
+             {"approximate age": ages["approx"] or "(none)"},
+             {"process-exact age (matches simulation)": ages.get("process")}]
+    sections = {key: {"total": age.total, **age.breakdown}
+                for key, age in ages.items() if age is not None}
+    _emit(args, {"scheme": args.scheme, **ages}, _flat_table(sections), _labelled(human))
     return 0
 
 
 def _simulate(args) -> int:
-    scheme = _SCHEME_NAMES[args.scheme]
+    scheme = _SCHEMES_BY_CLI_NAME[args.scheme]
     model = _build_model(args)
-    if scheme == "wait_for_all":
-        if args.k is not None:
-            raise _CliError("--k does not apply to --scheme wait-for-all")
-        policy = WaitForAll()
-        k = args.n
-    else:
-        if args.k is None:
-            raise _CliError(f"--scheme {args.scheme} requires --k")
-        if args.k > args.n:
-            raise _CliError(f"--k {args.k} exceeds --n {args.n}")
-        k = args.k
-        if scheme == "earliest_k":
-            policy = EarliestK(k)
-        else:
-            policy = PreSelectedK(k, regroup=args.regroup.replace("-", "_"))
-
-    seed = args.seed if args.seed is not None else _default_seed()
+    k = _scheme_k(scheme, args.n, args.k)
+    seed = _seed(args)
     config = SimConfig(
         n=args.n,
-        policy=policy,
+        policy=scheme.policy(k, args.regroup.replace("-", "_")),
         model=model,
         updates=args.updates,
         warmup=args.warmup,
@@ -225,124 +260,53 @@ def _simulate(args) -> int:
         replications=args.replications,
     )
     result = replicate(config)
-
-    exact = approx = None
-    kstar = False
-    if isinstance(model, ShiftedExponential):
-        if scheme == "wait_for_all":
-            exact = age_wait_for_all(model.rate, model.shift, args.n).total
-        elif scheme == "earliest_k":
-            exact = age_earliest_k(model.rate, model.shift, args.n, k).total
-            if k < args.n:
-                approx = age_earliest_k_approx(model.rate, model.shift, k / args.n).total
-        else:
-            # Process-exact renewal value: this is what the simulation estimates.
-            exact = age_preselected_k_process(model.rate, model.shift, args.n, k).total
-            approx = age_preselected_k_approx(model.rate, model.shift, args.n, k).total
-        kstar = k == optimal_k_closed_form(model.rate, model.shift, args.n)
-
-    row = SweepRow(
-        scheme=scheme,
-        model=model.label(),
-        lam=model.rate if isinstance(model, ShiftedExponential) else None,
-        shift=model.shift if isinstance(model, ShiftedExponential) else None,
-        n=args.n,
-        k=k,
-        sim_age=result.grand_mean,
-        sim_stderr=result.std_error,
-        exact_age=exact,
-        approx_age=approx,
-        kstar_flag=kstar,
-    )
-
-    if args.format == "csv":
-        text = rows_to_csv_text([row])
-    elif args.format == "json":
-        payload = {
-            "config": {
-                "scheme": args.scheme,
-                "model": model.label(),
-                "n": args.n,
-                "k": k,
-                "updates": args.updates,
-                "warmup": args.warmup,
-                "seed": seed,
-                "replications": args.replications,
-            },
-            "grand_mean": result.grand_mean,
-            "std_error": result.std_error,
-            "virtual_time": result.virtual_time,
-            "rounds": result.rounds,
-            "per_node_avg_age": [float(x) for x in result.per_node_avg_age],
-            "delivery_fraction": [float(x) for x in result.delivery_fraction],
-            "exact_age": exact,
-            "approx_age": approx,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [
-            f"scheme: {args.scheme}",
-            f"model: {model.label()}",
-            f"n: {args.n}  k: {k}",
-            f"updates: {args.updates}  warmup: {args.warmup}  "
-            f"replications: {args.replications}  seed: {seed}",
-            f"grand mean age: {_fnum(result.grand_mean)}",
-            f"std error: {_fnum(result.std_error)}",
-            f"virtual time: {_fnum(result.virtual_time)}",
-        ]
-        if exact is not None:
-            lines.append(f"exact age: {_fnum(exact)}")
-        if approx is not None:
-            lines.append(f"approximate age: {_fnum(approx)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    row = sweep_row(scheme, model, args.n, k, result)
+    echo = {
+        "scheme": args.scheme,
+        "model": model.label(),
+        "n": args.n,
+        "k": k,
+        "updates": args.updates,
+        "warmup": args.warmup,
+        "seed": seed,
+        "replications": args.replications,
+    }
+    record = {"config": echo, **as_record(result),
+              "exact_age": row.exact_age, "approx_age": row.approx_age}
+    human = [{key: echo[key] for key in line} for line in (
+        ("scheme",), ("model",), ("n", "k"), ("updates", "warmup", "replications", "seed")
+    )]
+    human += [
+        {"grand mean age": result.grand_mean},
+        {"std error": result.std_error},
+        {"virtual time": result.virtual_time},
+        {"exact age": row.exact_age},
+        {"approximate age": row.approx_age},
+    ]
+    _emit(args, record, table([row]), _labelled(human))
     return 0
 
 
 def _optimize(args) -> int:
+    if args.lam is None:
+        raise _CliError("optimize requires --lambda")
     alpha = optimal_alpha(args.lam, args.shift)
     k_closed = optimal_k_closed_form(args.lam, args.shift, args.n)
-    approx_at_alpha = (
-        age_earliest_k_approx(args.lam, args.shift, alpha).total if 0.0 < alpha < 1.0 else None
-    )
-    exact_at_closed = age_earliest_k(args.lam, args.shift, args.n, k_closed)
+    results = {
+        "alpha_star": alpha,
+        "approx_age_at_alpha_star": (
+            age_earliest_k_approx(args.lam, args.shift, alpha).total
+            if 0.0 < alpha < 1.0 else None
+        ),
+        "k_closed_form": k_closed,
+        "exact_age_at_k_closed_form": age_earliest_k(args.lam, args.shift, args.n, k_closed).total,
+    }
     k_best, best = optimal_k_exact(args.lam, args.shift, args.n)
+    results.update(k_exhaustive=k_best, exact_age_at_k_exhaustive=best.total)
 
-    if args.format == "json":
-        payload = {
-            "lambda": args.lam,
-            "shift": args.shift,
-            "n": args.n,
-            "alpha_star": alpha,
-            "approx_age_at_alpha_star": approx_at_alpha,
-            "k_closed_form": k_closed,
-            "exact_age_at_k_closed_form": exact_at_closed.total,
-            "k_exhaustive": k_best,
-            "exact_age_at_k_exhaustive": best.total,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        lines = ["name,value"]
-        lines.append(f"alpha_star,{alpha!r}")
-        lines.append(f"approx_age_at_alpha_star,{'' if approx_at_alpha is None else repr(approx_at_alpha)}")
-        lines.append(f"k_closed_form,{k_closed}")
-        lines.append(f"exact_age_at_k_closed_form,{exact_at_closed.total!r}")
-        lines.append(f"k_exhaustive,{k_best}")
-        lines.append(f"exact_age_at_k_exhaustive,{best.total!r}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"lambda: {_fnum(args.lam)}  shift: {_fnum(args.shift)}  n: {args.n}",
-            f"alpha*: {_fnum(alpha)}",
-        ]
-        if approx_at_alpha is not None:
-            lines.append(f"approximate age at alpha*: {_fnum(approx_at_alpha)}")
-        lines.append(f"closed-form k*: {k_closed}")
-        lines.append(f"exact age at closed-form k*: {_fnum(exact_at_closed.total)}")
-        lines.append(f"exhaustive k*: {k_best}")
-        lines.append(f"exact age at exhaustive k*: {_fnum(best.total)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    inputs = {"lambda": args.lam, "shift": args.shift, "n": args.n}
+    human = [inputs] + [{label: results[key]} for key, label in _OPTIMIZE_LABELS.items()]
+    _emit(args, {**inputs, **results}, _flat_table(results), _labelled(human))
     return 0
 
 
@@ -350,44 +314,23 @@ def _experiment(args) -> int:
     for flag, step in (("--step", args.step), ("--n-step", args.n_step)):
         if step < 1:
             raise _CliError(f"{flag} must be >= 1, got {step}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.figure == "fig4":
-        rows = run_fig4(
-            k_step=args.step,
-            rounds=args.rounds if args.rounds is not None else 100_000,
-            warmup=args.warmup,
-            replications=args.replications,
-            seed=seed,
-        )
-    elif args.figure == "fig5":
-        rows = run_fig5(
-            k_step=args.step,
-            rounds=args.rounds if args.rounds is not None else 100_000,
-            warmup=args.warmup,
-            replications=args.replications,
-            seed=seed,
-        )
-    else:
-        n_values = tuple(range(args.n_min, args.n_max + 1, args.n_step))
-        rows = run_fig6(
-            n_values=n_values,
-            rounds=args.rounds if args.rounds is not None else 1_000_000,
-            warmup=args.warmup,
-            replications=args.replications,
-            seed=seed,
-        )
-    text = rows_to_json(rows) + "\n" if args.format == "json" else rows_to_csv_text(rows)
-    _emit(text, args.output)
+    run, default_rounds = _FIGURES[args.figure]
+    rows = run(
+        args,
+        rounds=args.rounds if args.rounds is not None else default_rounds,
+        warmup=args.warmup,
+        replications=args.replications,
+        seed=_seed(args),
+    )
+    _emit(args, rows, table(rows))
     return 0
 
 
 def _validate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     report = run_validation(
-        rounds=args.rounds, seed=seed, warmup=args.warmup, z_threshold=args.z
+        rounds=args.rounds, seed=_seed(args), warmup=args.warmup, z_threshold=args.z
     )
-    text = "\n".join(report.lines()) + "\n"
-    _emit(text, args.output)
+    _emit(args, report.cells, table(report.cells), report.lines())
     return 0 if report.passed else 1
 
 
@@ -398,9 +341,17 @@ def _add_model_flags(parser) -> None:
                         help="constant delay floor c (default 0)")
 
 
-def _add_output_flags(parser) -> None:
-    parser.add_argument("--format", choices=("human", "csv", "json"), default="human")
-    parser.add_argument("--output", default=None, help="write to this path instead of stdout")
+def _add_scheme_flags(parser, hyperexp_help: str, n_required: bool) -> None:
+    parser.add_argument("--scheme", required=True, choices=tuple(_SCHEMES_BY_CLI_NAME))
+    _add_model_flags(parser)
+    parser.add_argument("--hyperexp", default=None, help=hyperexp_help)
+    parser.add_argument("--n", type=int, required=n_required)
+    parser.add_argument("--k", type=int, default=None)
+
+
+def _add_run_flags(parser) -> None:
+    parser.add_argument("--warmup", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,59 +362,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="evaluate exact and approximate age formulas")
-    p.add_argument("--scheme", required=True, choices=tuple(_SCHEME_NAMES))
-    _add_model_flags(p)
-    p.add_argument("--hyperexp", default=None, help="rejected here; analyze is closed-form only")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("human", "csv", "json"), default="human")
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("analyze", _analyze, "evaluate exact and approximate age formulas")
+    _add_scheme_flags(p, "rejected here; analyze is closed-form only", n_required=False)
     p.add_argument("--alpha", type=float, default=None,
                    help="threshold ratio k/n for the earliest-k approximation")
-    _add_output_flags(p)
-    p.set_defaults(handler=_analyze)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate of the average age")
-    p.add_argument("--scheme", required=True, choices=tuple(_SCHEME_NAMES))
-    _add_model_flags(p)
-    p.add_argument("--hyperexp", default=None,
-                   help="mixture model 'r1,r2,...:w1,w2,...' instead of --lambda/--shift")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p = command("simulate", _simulate, "Monte Carlo estimate of the average age")
+    _add_scheme_flags(p, "mixture model 'r1,r2,...:w1,w2,...' instead of --lambda/--shift",
+                      n_required=True)
     p.add_argument("--updates", type=int, default=100_000)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    _add_run_flags(p)
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--regroup", choices=("per-update", "fixed"), default="per-update")
-    _add_output_flags(p)
-    p.set_defaults(handler=_simulate)
 
-    p = sub.add_parser("optimize", help="age-minimizing stopping threshold")
+    p = command("optimize", _optimize, "age-minimizing stopping threshold")
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_optimize)
 
-    p = sub.add_parser("experiment", help="run a predefined sweep and emit its table")
-    p.add_argument("figure", choices=("fig4", "fig5", "fig6"))
+    p = command("experiment", _experiment, "run a predefined sweep and emit its table")
+    p.add_argument("figure", choices=tuple(_FIGURES))
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--step", type=int, default=5, help="k-grid step (fig4/fig5)")
-    p.add_argument("--warmup", type=int, default=1000)
+    _add_run_flags(p)
     p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-min", type=int, default=1, help="fig6 smallest n")
     p.add_argument("--n-max", type=int, default=200, help="fig6 largest n")
     p.add_argument("--n-step", type=int, default=1, help="fig6 n stride")
-    _add_output_flags(p)
-    p.set_defaults(handler=_experiment)
 
-    p = sub.add_parser("validate", help="simulation-vs-theory agreement grid")
+    p = command("validate", _validate, "simulation-vs-theory agreement grid")
     p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    _add_run_flags(p)
     p.add_argument("--z", type=float, default=4.0, help="failure threshold in standard errors")
-    _add_output_flags(p)
-    p.set_defaults(handler=_validate)
-
     return parser
 
 
@@ -474,8 +410,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "optimize" and args.lam is None:
-            raise _CliError("optimize requires --lambda")
         return args.handler(args)
     except (_CliError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,7 @@ delay per update.  Two delay families are supported:
   right by a constant ``shift`` (``shift = 0`` is the plain exponential).
   Order-statistic moments have closed forms in harmonic numbers.
 * :class:`HyperExponential` -- a finite mixture of exponentials.  No
-  closed-form order statistics are provided; estimates come from
-  :func:`order_stat_mc_oracle`.
+  closed-form order statistics are provided.
 """
 
 from __future__ import annotations
@@ -20,26 +19,16 @@ from typing import NamedTuple, Union
 import numpy as np
 
 __all__ = [
-    "EULER_GAMMA",
     "RandomStream",
     "ShiftedExponential",
     "HyperExponential",
     "DelayModel",
-    "sample_delay",
-    "sample_delay_matrix",
-    "model_mean",
-    "model_variance",
     "harmonic",
     "harmonic2",
     "OrderStatMoments",
     "order_stat_moments",
     "partial_order_mean_sum",
-    "McOrderStat",
-    "order_stat_mc_oracle",
 ]
-
-#: Euler-Mascheroni constant, used only inside explicitly approximate formulas.
-EULER_GAMMA = 0.5772156649015329
 
 _MAX_SEED = 2**64
 # HyperExponential.sample turns component uniforms into rates in blocks of
@@ -74,10 +63,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         return self._generator  # type: ignore[attr-defined]
 
-    def open_closed_uniform(self, size=None):
-        """Uniform draw on (0, 1], suitable for ``-log(u)`` transforms."""
-        return 1.0 - self.generator.random(size)
-
 
 @dataclass(frozen=True)
 class ShiftedExponential:
@@ -100,10 +85,6 @@ class ShiftedExponential:
 
     def variance(self) -> float:
         return 1.0 / (self.rate * self.rate)
-
-    def min_delay(self) -> float:
-        """Lower bound of the support."""
-        return self.shift
 
     def sample(self, stream: RandomStream, size=None, out=None):
         """Draw one delay (a numpy scalar), or an array of ``size``.
@@ -156,9 +137,6 @@ class HyperExponential:
         m = self.mean()
         return second - m * m
 
-    def min_delay(self) -> float:
-        return 0.0
-
     def _component(self, u):
         # The number of cumulative-weight edges at or below u, over all but
         # the last edge: the weights may sum to a little below 1.
@@ -198,26 +176,6 @@ class HyperExponential:
 
 
 DelayModel = Union[ShiftedExponential, HyperExponential]
-
-
-def sample_delay(model: DelayModel, stream: RandomStream) -> float:
-    """Draw one link delay."""
-    return float(model.sample(stream))
-
-
-def sample_delay_matrix(model: DelayModel, rounds: int, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw a ``(rounds, n)`` matrix of i.i.d. link delays."""
-    if rounds < 1 or n < 1:
-        raise ValueError(f"rounds and n must be >= 1, got {rounds}, {n}")
-    return model.sample(stream, (rounds, n))
-
-
-def model_mean(model: DelayModel) -> float:
-    return model.mean()
-
-
-def model_variance(model: DelayModel) -> float:
-    return model.variance()
 
 
 # Tail sums over the k largest indices, n-k < j <= n, come from one kernel:
@@ -378,49 +336,3 @@ def partial_order_mean_sum(rate: float, shift: float, k: int, n: int) -> float:
     """
     _check_order_stat_args(rate, shift, k, n)
     return k * shift + _tail_sums(n, k)[2] / rate
-
-
-class McOrderStat(NamedTuple):
-    """Monte Carlo estimate of one order statistic's moments.
-
-    ``stderr`` is the standard error of ``mean``; ``variance_stderr`` is the
-    standard error of ``variance`` (from the fourth central moment), so both
-    estimates carry a usable confidence band.
-    """
-
-    mean: float
-    variance: float
-    stderr: float
-    variance_stderr: float
-
-
-def order_stat_mc_oracle(
-    model: DelayModel, k: int, n: int, samples: int, stream: RandomStream
-) -> McOrderStat:
-    """Brute-force estimate of the k-th order statistic's moments.
-
-    Draws ``samples`` batches of n i.i.d. delays, extracts the k-th
-    smallest of each batch, and returns its empirical mean and variance
-    with standard errors.  Works for any delay model; this is the
-    independent check for the closed forms.
-    """
-    _check_kn(k, n)
-    if samples < 1_000:
-        raise ValueError(f"samples must be >= 1000, got {samples}")
-    draws = model.sample(stream, (samples, n))
-    if n == 1:
-        kth = draws[:, 0]
-    else:
-        kth = np.partition(draws, k - 1, axis=1)[:, k - 1]
-    m = float(samples)
-    mean = float(kth.mean())
-    variance = float(kth.var(ddof=1))
-    stderr = math.sqrt(variance / m)
-    central4 = float(np.mean((kth - mean) ** 4))
-    var_of_var = (central4 - variance * variance * (m - 3.0) / (m - 1.0)) / m
-    return McOrderStat(
-        mean=mean,
-        variance=variance,
-        stderr=stderr,
-        variance_stderr=math.sqrt(max(var_of_var, 0.0)),
-    )

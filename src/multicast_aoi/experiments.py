@@ -1,35 +1,49 @@
-"""Scenario sweeps and the simulation-vs-theory validation grid.
+"""The scheme registry, scenario sweeps and the simulation-vs-theory grid.
 
-Each sweep point is an independent simulation seeded deterministically
-from the sweep seed and the point's position, so tables are byte-stable
-across runs and independent of execution order.  Rows are sorted by
-(scheme, model, n, k) before emission.
+:data:`SCHEMES` maps each stopping scheme to its CLI name, its policy and
+the ages a simulation of it is compared with.  Each sweep point is an
+independent simulation seeded deterministically from the sweep seed and
+the point's position, so tables are byte-stable across runs and
+independent of execution order.  Rows are sorted by (scheme, model, n, k)
+before emission.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Callable, Optional, Sequence
 
 from .analytics import (
+    AgeResult,
     age_earliest_k,
     age_earliest_k_approx,
+    age_preselected_k,
     age_preselected_k_approx,
     age_preselected_k_process,
     age_wait_for_all,
     optimal_k_closed_form,
 )
 from .delay_models import DelayModel, HyperExponential, ShiftedExponential
-from .simulator import EarliestK, PreSelectedK, SimConfig, WaitForAll, replicate
+from .simulator import (
+    EarliestK,
+    PreSelectedK,
+    SimConfig,
+    SimResult,
+    StoppingPolicy,
+    WaitForAll,
+    replicate,
+)
 
 __all__ = [
     "DEFAULT_SEED",
+    "Scheme",
+    "SCHEMES",
     "SweepSpec",
     "SweepRow",
+    "sweep_row",
+    "as_record",
     "run_sweep",
     "run_fig4",
     "run_fig5",
@@ -37,28 +51,75 @@ __all__ = [
     "ValidationCell",
     "ValidationReport",
     "run_validation",
-    "write_rows_csv",
-    "rows_to_json",
     "CSV_COLUMNS",
 ]
 
 DEFAULT_SEED = 123456789
 
-_SWEEP_SCHEMES = ("wait_for_all", "earliest_k", "preselected_k")
+_AgeFn = Callable[[float, float, int, int], AgeResult]
 
-CSV_COLUMNS = (
-    "scheme",
-    "model",
-    "lambda",
-    "shift",
-    "n",
-    "k",
-    "sim_age",
-    "sim_stderr",
-    "exact_age",
-    "approx_age",
-    "kstar_flag",
-)
+
+@dataclass(frozen=True)
+class Scheme:
+    """A stopping scheme: its names, its policy and its reference ages.
+
+    ``policy(k, regroup)`` builds the stopping policy.  Each age function
+    takes ``(rate, shift, n, k)``: ``estimated`` is the exact age that a
+    simulation of the policy estimates, ``approx`` the large-n
+    approximation (None where there is none), and ``published`` the
+    paper's closed form where it is not ``estimated``.  The functions call
+    the analytics by their module-level names at call time, so wrapping
+    those names (as a tracer does) sees every call.
+    """
+
+    name: str
+    cli_name: str
+    policy: Callable[[int, str], StoppingPolicy]
+    estimated: _AgeFn
+    approx: Callable[[float, float, int, int], Optional[AgeResult]]
+    published: Optional[_AgeFn] = None
+    has_k: bool = True
+
+
+SCHEMES = MappingProxyType({scheme.name: scheme for scheme in (
+    Scheme(
+        "wait_for_all", "wait-for-all",
+        policy=lambda k, regroup: WaitForAll(),
+        estimated=lambda rate, shift, n, k: age_wait_for_all(rate, shift, n),
+        approx=lambda rate, shift, n, k: None,
+        has_k=False,
+    ),
+    Scheme(
+        "earliest_k", "earliest-k",
+        policy=lambda k, regroup: EarliestK(k),
+        estimated=lambda rate, shift, n, k: age_earliest_k(rate, shift, n, k),
+        approx=lambda rate, shift, n, k: (
+            age_earliest_k_approx(rate, shift, k / n) if k < n else None
+        ),
+    ),
+    # A simulation estimates the renewal analysis of the simulated process;
+    # the paper's closed form for this scheme is biased at k < n.
+    Scheme(
+        "preselected_k", "pre-selected-k",
+        policy=lambda k, regroup: PreSelectedK(k, regroup),
+        estimated=lambda rate, shift, n, k: age_preselected_k_process(rate, shift, n, k),
+        approx=lambda rate, shift, n, k: age_preselected_k_approx(rate, shift, n, k),
+        published=lambda rate, shift, n, k: age_preselected_k(rate, shift, n, k),
+    ),
+)})
+
+
+def _column(f) -> str:
+    return f.metadata.get("column", f.name)
+
+
+def as_record(row) -> dict:
+    """A dataclass as ``{column: value}``, one column per field in field order.
+
+    A column takes the field's name unless the field renames it (``lam``
+    is the ``lambda`` column).
+    """
+    return {_column(f): getattr(row, f.name) for f in fields(row)}
 
 
 @dataclass(frozen=True)
@@ -91,9 +152,9 @@ class SweepSpec:
                 raise ValueError("a k-sweep needs a fixed n")
             if values[-1] > self.n:
                 raise ValueError(f"k values must stay within [1, n={self.n}], got {values}")
-        unknown = [s for s in self.schemes if s not in _SWEEP_SCHEMES]
+        unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
-            raise ValueError(f"unknown schemes {unknown}; valid: {_SWEEP_SCHEMES}")
+            raise ValueError(f"unknown schemes {unknown}; valid: {tuple(SCHEMES)}")
         if self.variable == "n" and any(
             not isinstance(m, ShiftedExponential) for m in self.models
         ):
@@ -108,7 +169,7 @@ class SweepRow:
 
     scheme: str
     model: str
-    lam: Optional[float]
+    lam: Optional[float] = field(metadata={"column": "lambda"})
     shift: Optional[float]
     n: int
     k: int
@@ -119,30 +180,25 @@ class SweepRow:
     kstar_flag: bool
 
 
-def _policy_for(scheme: str, k: int):
-    if scheme == "wait_for_all":
-        return WaitForAll()
-    if scheme == "earliest_k":
-        return EarliestK(k)
-    return PreSelectedK(k)
+CSV_COLUMNS = tuple(_column(f) for f in fields(SweepRow))
 
 
-def _exact_age(scheme: str, rate: float, shift: float, n: int, k: int) -> float:
-    # The pre-selected column uses the renewal analysis of the simulated
-    # process; the classical closed form for that scheme is biased at k < n.
-    if scheme == "wait_for_all":
-        return age_wait_for_all(rate, shift, n).total
-    if scheme == "earliest_k":
-        return age_earliest_k(rate, shift, n, k).total
-    return age_preselected_k_process(rate, shift, n, k).total
+def sweep_row(scheme: Scheme, model: DelayModel, n: int, k: int, sim: SimResult) -> SweepRow:
+    """One table row: the simulated age, and the analytic columns where defined.
 
-
-def _approx_age(scheme: str, rate: float, shift: float, n: int, k: int) -> Optional[float]:
-    if scheme == "earliest_k" and k < n:
-        return age_earliest_k_approx(rate, shift, k / n).total
-    if scheme == "preselected_k":
-        return age_preselected_k_approx(rate, shift, n, k).total
-    return None
+    The analytic columns (exact and approximate age, whether k is the
+    closed-form k*) exist for shifted-exponential links only.
+    """
+    lam = shift = exact = approx = None
+    kstar = False
+    if isinstance(model, ShiftedExponential):
+        lam, shift = model.rate, model.shift
+        exact = scheme.estimated(lam, shift, n, k).total
+        approx_age = scheme.approx(lam, shift, n, k)
+        approx = None if approx_age is None else approx_age.total
+        kstar = k == optimal_k_closed_form(lam, shift, n)
+    return SweepRow(scheme.name, model.label(), lam, shift, n, k,
+                    sim.grand_mean, sim.std_error, exact, approx, kstar)
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -166,37 +222,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for index, (model, scheme, n, k) in enumerate(points):
         config = SimConfig(
             n=n,
-            policy=_policy_for(scheme, k),
+            policy=SCHEMES[scheme].policy(k, "per_update"),
             model=model,
             updates=spec.rounds,
             warmup=spec.warmup,
             seed=_point_seed(spec.seed, index),
             replications=spec.replications,
         )
-        sim = replicate(config)
-        if isinstance(model, ShiftedExponential):
-            lam, shift = model.rate, model.shift
-            exact = _exact_age(scheme, lam, shift, n, k)
-            approx = _approx_age(scheme, lam, shift, n, k)
-            kstar = k == optimal_k_closed_form(lam, shift, n)
-        else:
-            lam = shift = exact = approx = None
-            kstar = False
-        rows.append(
-            SweepRow(
-                scheme=scheme,
-                model=model.label(),
-                lam=lam,
-                shift=shift,
-                n=n,
-                k=k,
-                sim_age=sim.grand_mean,
-                sim_stderr=sim.std_error,
-                exact_age=exact,
-                approx_age=approx,
-                kstar_flag=kstar,
-            )
-        )
+        rows.append(sweep_row(SCHEMES[scheme], model, n, k, replicate(config)))
     rows.sort(key=lambda r: (r.scheme, r.model, r.n, r.k))
     return rows
 
@@ -219,21 +252,11 @@ def run_fig4(
     mixture with rates (1, 6) and weights (0.4, 0.6).  Approximate ages
     are attached for the exponential rows.
     """
-    spec = SweepSpec(
-        variable="k",
-        values=_k_values(100, k_step),
-        schemes=("earliest_k",),
-        models=(
-            ShiftedExponential(2.0, 0.0),
-            HyperExponential((1.0, 6.0), (0.4, 0.6)),
-        ),
-        rounds=rounds,
-        seed=seed,
-        n=100,
-        warmup=warmup,
-        replications=replications,
-    )
-    return run_sweep(spec)
+    return run_sweep(SweepSpec(
+        variable="k", values=_k_values(100, k_step), schemes=("earliest_k",),
+        models=(ShiftedExponential(2.0, 0.0), HyperExponential((1.0, 6.0), (0.4, 0.6))),
+        n=100, rounds=rounds, warmup=warmup, replications=replications, seed=seed,
+    ))
 
 
 def run_fig5(
@@ -253,18 +276,12 @@ def run_fig5(
     rows = []
     for index, rate in enumerate(rates):
         kstar = optimal_k_closed_form(rate, shift, 100)
-        spec = SweepSpec(
-            variable="k",
-            values=_k_values(100, k_step, extra=(kstar,)),
-            schemes=("earliest_k", "preselected_k"),
-            models=(ShiftedExponential(rate, shift),),
-            rounds=rounds,
+        rows += run_sweep(SweepSpec(
+            variable="k", values=_k_values(100, k_step, extra=(kstar,)),
+            schemes=("earliest_k", "preselected_k"), models=(ShiftedExponential(rate, shift),),
+            n=100, rounds=rounds, warmup=warmup, replications=replications,
             seed=(seed + 10**6 * index) % 2**64,
-            n=100,
-            warmup=warmup,
-            replications=replications,
-        )
-        rows.extend(run_sweep(spec))
+        ))
     rows.sort(key=lambda r: (r.scheme, r.model, r.n, r.k))
     return rows
 
@@ -279,23 +296,17 @@ def run_fig6(
     shift: float = 1.0,
 ) -> list[SweepRow]:
     """Minimum average age versus network size, stopping at the closed-form k*."""
-    spec = SweepSpec(
-        variable="n",
-        values=tuple(n_values),
-        schemes=("earliest_k",),
+    return run_sweep(SweepSpec(
+        variable="n", values=tuple(n_values), schemes=("earliest_k",),
         models=(ShiftedExponential(rate, shift),),
-        rounds=rounds,
-        seed=seed,
-        warmup=warmup,
-        replications=replications,
-    )
-    return run_sweep(spec)
+        rounds=rounds, warmup=warmup, replications=replications, seed=seed,
+    ))
 
 
 @dataclass(frozen=True)
 class ValidationCell:
     scheme: str
-    lam: float
+    lam: float = field(metadata={"column": "lambda"})
     shift: float
     n: int
     k: int
@@ -316,14 +327,12 @@ class ValidationReport:
         return all(cell.passed for cell in self.cells)
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.cells:
-            status = "pass" if c.passed else "FAIL"
-            out.append(
-                f"{status}  {c.scheme:<14} lambda={c.lam:g} shift={c.shift:g} "
-                f"n={c.n:<3} k={c.k:<3} sim={c.sim_age:.6f} "
-                f"exact={c.exact_age:.6f} z={c.z:.2f}"
-            )
+        out = [
+            f"{'pass' if c.passed else 'FAIL'}  {c.scheme:<14} lambda={c.lam:g} "
+            f"shift={c.shift:g} n={c.n:<3} k={c.k:<3} sim={c.sim_age:.6f} "
+            f"exact={c.exact_age:.6f} z={c.z:.2f}"
+            for c in self.cells
+        ]
         n_fail = sum(not c.passed for c in self.cells)
         out.append(
             f"{len(self.cells)} cells, {n_fail} failures "
@@ -348,110 +357,31 @@ def run_validation(
     the exact formula.  ``exact_age_fn`` can replace the analytic side,
     which lets the harness itself be mutation-tested.
     """
-    exact_fn = exact_age_fn or _exact_age
+    exact_fn = exact_age_fn or (
+        lambda scheme, *point: SCHEMES[scheme].estimated(*point).total
+    )
     cells = []
-    index = 0
     for lam, shift in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)):
         for n in (1, 2, 5, 10):
-            k_list = tuple(sorted({1, math.ceil(n / 2), n})) if ks is None else tuple(
-                sorted({k for k in ks if 1 <= k <= n})
-            )
-            for scheme in ("wait_for_all", "earliest_k", "preselected_k"):
-                # wait_for_all ignores k; run it once per (lam, shift, n).
-                k_cells = (n,) if scheme == "wait_for_all" else k_list
-                for k in k_cells:
+            k_list = sorted({1, math.ceil(n / 2), n} if ks is None else
+                            {k for k in ks if 1 <= k <= n})
+            for scheme in SCHEMES:
+                # A scheme without k (wait-for-all) runs once per (lam, shift, n).
+                for k in k_list if SCHEMES[scheme].has_k else (n,):
                     config = SimConfig(
                         n=n,
-                        policy=_policy_for(scheme, k),
+                        policy=SCHEMES[scheme].policy(k, "per_update"),
                         model=ShiftedExponential(lam, shift),
                         updates=rounds,
                         warmup=warmup,
-                        seed=_point_seed(seed, index),
+                        seed=_point_seed(seed, len(cells)),
                     )
-                    index += 1
                     sim = replicate(config)
                     exact = exact_fn(scheme, lam, shift, n, k)
                     if sim.std_error > 0 and math.isfinite(sim.std_error):
                         z = abs(sim.grand_mean - exact) / sim.std_error
                     else:
                         z = math.inf
-                    cells.append(
-                        ValidationCell(
-                            scheme=scheme,
-                            lam=lam,
-                            shift=shift,
-                            n=n,
-                            k=k,
-                            sim_age=sim.grand_mean,
-                            sim_stderr=sim.std_error,
-                            exact_age=exact,
-                            z=z,
-                            passed=z <= z_threshold,
-                        )
-                    )
+                    cells.append(ValidationCell(scheme, lam, shift, n, k, sim.grand_mean,
+                                                sim.std_error, exact, z, z <= z_threshold))
     return ValidationReport(cells=tuple(cells), z_threshold=z_threshold)
-
-
-def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_rows_csv(rows: Sequence[SweepRow], target) -> None:
-    """Write sweep rows to a path or text file object using the standard schema."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.scheme,
-                    r.model,
-                    _cell_text(r.lam),
-                    _cell_text(r.shift),
-                    r.n,
-                    r.k,
-                    _cell_text(r.sim_age),
-                    _cell_text(r.sim_stderr),
-                    _cell_text(r.exact_age),
-                    _cell_text(r.approx_age),
-                    _cell_text(r.kstar_flag),
-                ]
-            )
-    finally:
-        if own:
-            fh.close()
-
-
-def rows_to_csv_text(rows: Sequence[SweepRow]) -> str:
-    buf = io.StringIO()
-    write_rows_csv(rows, buf)
-    return buf.getvalue()
-
-
-def rows_to_json(rows: Sequence[SweepRow]) -> str:
-    """JSON mirror of the CSV table (missing values become null)."""
-    payload = [
-        {
-            "scheme": r.scheme,
-            "model": r.model,
-            "lambda": r.lam,
-            "shift": r.shift,
-            "n": r.n,
-            "k": r.k,
-            "sim_age": r.sim_age,
-            "sim_stderr": r.sim_stderr,
-            "exact_age": r.exact_age,
-            "approx_age": r.approx_age,
-            "kstar_flag": r.kstar_flag,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -10,21 +10,18 @@ the accumulated sawtooth area divided by the observed span.
 The engine advances whole blocks of rounds with vectorized numpy and is
 deterministic given ``(seed, replication index)`` for a given package
 version.  Per block it samples the delays, resolves every round at once
-(earliest-k takes the k-th smallest delay with a partition, not a sort;
-a per-update pre-selected group is never materialized, only the rank of
-its slowest member is drawn, see :func:`run_rounds`) and credits all
-deliveries in one pass over a node-major flat array, with no loop over
-nodes.  Each run keeps one workspace of flat buffers that every block
-reuses: the delays are drawn into it, and resolution and accumulation
-work in it in place, so that a block costs no fresh pages.
-Scalar building blocks (:func:`run_round`, :func:`accumulate_delivery`)
-implement the same semantics one step at a time and serve as the
-reference for tests.
+and credits all deliveries in one pass over a node-major flat array,
+with no loop over nodes.  Earliest-k and per-update pre-selected rounds
+share one resolve: a sorted copy of each row, from which earliest-k
+reads its k-th smallest delay, and pre-selected the delay of its group's
+slowest member, whose rank is drawn without ever drawing the group (see
+:func:`run_rounds`).  Each run keeps one workspace of flat buffers that
+every block reuses: the delays are drawn into it, and resolution and
+accumulation work in it in place, so that a block costs no fresh pages.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -39,11 +36,8 @@ __all__ = [
     "PreSelectedK",
     "StoppingPolicy",
     "SimConfig",
-    "NodeAgeState",
     "SimResult",
     "SimulationError",
-    "accumulate_delivery",
-    "run_round",
     "run_rounds",
     "simulate",
     "replicate",
@@ -120,47 +114,6 @@ def _policy_threshold(policy: StoppingPolicy, n: int) -> int:
     return policy.k
 
 
-@dataclass
-class NodeAgeState:
-    """Per-node sawtooth accounting between update deliveries."""
-
-    last_delivery_wall: float = 0.0
-    last_gen_timestamp: float = 0.0
-    area: float = 0.0
-    observed_span: float = 0.0
-
-
-def accumulate_delivery(state: NodeAgeState, delivery_wall: float, gen_timestamp: float) -> None:
-    """Credit one delivery to a node's sawtooth accounting.
-
-    Adds the trapezoid between the previous delivery and this one: with
-    gap ``g`` and starting age ``a0`` (the age right after the previous
-    delivery), the area grows by ``a0*g + g**2/2``.  The generation
-    timestamp may equal the stored one only for the time-zero initial
-    update; anything older is rejected as time travel.
-    """
-    if delivery_wall < state.last_delivery_wall:
-        raise ValueError(
-            f"delivery_wall {delivery_wall} precedes previous delivery "
-            f"{state.last_delivery_wall}"
-        )
-    if gen_timestamp < state.last_gen_timestamp:
-        raise ValueError(
-            f"gen_timestamp {gen_timestamp} is staler than the held update "
-            f"{state.last_gen_timestamp}"
-        )
-    if delivery_wall < gen_timestamp:
-        raise ValueError(
-            f"delivery_wall {delivery_wall} precedes generation {gen_timestamp}"
-        )
-    g = delivery_wall - state.last_delivery_wall
-    a0 = state.last_delivery_wall - state.last_gen_timestamp
-    state.area += a0 * g + 0.5 * g * g
-    state.observed_span += g
-    state.last_delivery_wall = delivery_wall
-    state.last_gen_timestamp = gen_timestamp
-
-
 class _Workspace:
     """Flat buffers that the engine reuses from chunk to chunk.
 
@@ -233,43 +186,46 @@ def run_rounds(
     ws = workspace if workspace is not None else _Workspace()
     delivered = ws.array("delivered", (rounds, n), bool)
 
-    if isinstance(policy, PreSelectedK) and k < n:
-        if groups is None:
-            if group_stream is None:
-                raise ValueError("pre-selected policy needs a group_stream or explicit groups")
+    if k == n:
+        # Wait-for-all, or any policy with k == n.
+        y = delays.max(axis=1)
+        delivered.fill(True)
+        return y, delivered
+
+    if isinstance(policy, PreSelectedK) and groups is not None:
+        # Indexing a range checks the bounds and wraps negative indices.
+        groups = np.arange(n)[np.asarray(groups)]
+        if groups.ndim == 1:
+            groups = np.broadcast_to(groups[None, :], (rounds, groups.shape[0]))
+        if groups.shape != (rounds, k):
+            raise ValueError(
+                f"groups must have shape ({rounds}, {k}), got {groups.shape}"
+            )
+        # Flat indices of the group members; they are in range, so take
+        # needs no bounds check (and no buffering).
+        flat = np.add(groups, np.arange(0, rounds * n, n)[:, None],
+                      out=ws.array("flat_groups", (rounds, k), np.intp))
+        members = np.take(delays, flat, out=ws.array("members", (rounds, k)), mode="clip")
+        y = members.max(axis=1)
+    else:
+        if isinstance(policy, PreSelectedK) and group_stream is None:
+            raise ValueError("pre-selected policy needs a group_stream or explicit groups")
+        # A full in-place sort of the rows is faster here than a partition
+        # for earliest-k's k-th smallest delay, and gives the same value.
+        ordered = ws.array("sorted", (rounds, n))
+        np.copyto(ordered, delays)
+        ordered.sort(axis=1)
+        if isinstance(policy, EarliestK):
+            y = ordered[:, k - 1]
+        else:
             # Column R - 1 of each sorted row, as a flat index.
             pick = np.searchsorted(
                 _slowest_rank_cdf(n, k), group_stream.generator.random(rounds), side="right"
             )
             pick += np.arange(k - 1, rounds * n, n)
-            ordered = ws.array("partition", (rounds, n))
-            np.copyto(ordered, delays)
-            ordered.sort(axis=1)
             y = np.take(ordered, pick)
-        else:
-            # Indexing a range checks the bounds and wraps negative indices.
-            groups = np.arange(n)[np.asarray(groups)]
-            if groups.ndim == 1:
-                groups = np.broadcast_to(groups[None, :], (rounds, groups.shape[0]))
-            if groups.shape != (rounds, k):
-                raise ValueError(
-                    f"groups must have shape ({rounds}, {k}), got {groups.shape}"
-                )
-            # Flat indices of the group members; they are in range, so take
-            # needs no bounds check (and no buffering).
-            flat = np.add(groups, np.arange(0, rounds * n, n)[:, None],
-                          out=ws.array("flat_groups", (rounds, k), np.intp))
-            members = np.take(delays, flat, out=ws.array("members", (rounds, k)), mode="clip")
-            y = members.max(axis=1)
-        np.less_equal(delays, y[:, None], out=delivered)
-        return y, delivered
-
-    if isinstance(policy, EarliestK) and k < n:
-        ordered = ws.array("partition", (rounds, n))
-        np.copyto(ordered, delays)
-        ordered.partition(k - 1, axis=1)
-        y = ordered[:, k - 1]
-        np.less_equal(delays, y[:, None], out=delivered)
+    np.less_equal(delays, y[:, None], out=delivered)
+    if isinstance(policy, EarliestK):
         # A row holds more than k delays <= y only when several tie at y:
         # there every delay below y is delivered and the remaining places go
         # to the tied nodes, lowest index first.
@@ -279,25 +235,7 @@ def run_rounds(
             at_y = rows == y_tied
             room = k - np.count_nonzero(rows < y_tied, axis=1)
             delivered[tied] &= ~at_y | (np.cumsum(at_y, axis=1) <= room[:, None])
-        return y, delivered
-
-    # Wait-for-all, or any policy with k == n.
-    y = delays.max(axis=1)
-    delivered.fill(True)
     return y, delivered
-
-
-def run_round(
-    policy: StoppingPolicy,
-    delays,
-    group_stream: Optional[RandomStream] = None,
-    group=None,
-) -> tuple[float, frozenset]:
-    """Resolve a single update round; returns ``(y, delivered node indices)``."""
-    row = np.atleast_2d(np.asarray(delays, dtype=float))
-    groups = None if group is None else np.asarray(group)
-    y, delivered = run_rounds(policy, row, group_stream=group_stream, groups=groups)
-    return float(y[0]), frozenset(int(i) for i in np.flatnonzero(delivered[0]))
 
 
 @dataclass(frozen=True)
@@ -354,9 +292,11 @@ def _accumulate_block(
     count: np.ndarray,
     ws: _Workspace,
 ) -> None:
-    """Apply accumulate_delivery to every delivery of a block of rounds.
+    """Credit every delivery of a block of rounds to its node's sawtooth area.
 
-    Round j starts (and generates its update) at ``t_prev[j]``; node i
+    A delivery after a gap ``g`` since the node's previous one, whose age
+    right after that previous delivery was ``a0``, adds the trapezoid
+    ``a0*g + g**2/2`` to the node's area and ``g`` to its span.  Round j starts (and generates its update) at ``t_prev[j]``; node i
     receives it at ``t_prev[j] + delays[j, i]`` when ``delivered[j, i]``;
     every round delivers to at least one node.  All deliveries of the
     block are laid out in one flat array, node by node and in round order
@@ -405,19 +345,7 @@ def _accumulate_block(
     last_gen[hit] = gen
 
 
-def _write_trace_rows(writer, start_round, t_prev, y, delays, delivered, last_gen_before):
-    cand = np.where(delivered, t_prev[:, None], -np.inf)
-    gen_after = np.maximum.accumulate(cand, axis=0)
-    gen_after = np.maximum(gen_after, last_gen_before[None, :])
-    t_after = t_prev + y
-    ages = t_after[:, None] - gen_after
-    for r in range(delays.shape[0]):
-        who = ";".join(str(i) for i in np.flatnonzero(delivered[r]))
-        writer.writerow([start_round + r, repr(float(y[r])), who]
-                        + [repr(float(a)) for a in ages[r]])
-
-
-def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> SimResult:
+def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     n = config.n
     policy = config.policy
     model = config.model
@@ -425,11 +353,7 @@ def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> 
     group_stream = RandomStream(config.seed, 2 * replication + 1)
 
     fixed_group = None
-    if (
-        isinstance(policy, PreSelectedK)
-        and policy.regroup == "fixed"
-        and policy.k < n
-    ):
+    if isinstance(policy, PreSelectedK) and policy.regroup == "fixed" and policy.k < n:
         fixed_group = group_stream.generator.permuted(np.arange(n))[: policy.k]
 
     last_wall = np.zeros(n)
@@ -438,13 +362,12 @@ def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> 
     span = np.zeros(n)
     count = np.zeros(n, dtype=np.int64)
     t = 0.0
-    round_index = 0
     ws = _Workspace()
     chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
     slice_rounds = max(1, _SLICE_ELEMENTS // n)
 
     def consume(rounds: int) -> float:
-        nonlocal t, round_index
+        nonlocal t
         elapsed = 0.0
         done = 0
         while done < rounds:
@@ -455,19 +378,14 @@ def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> 
             )
             cs = np.cumsum(y)
             t_prev = t + np.concatenate(([0.0], cs[:-1]))
-            if trace_writer is not None:
-                gen_before = last_gen.copy()
             for first in range(0, r, slice_rounds):
                 rows = slice(first, first + slice_rounds)
                 _accumulate_block(
                     t_prev[rows], delays[rows], delivered[rows],
                     last_wall, last_gen, area, span, count, ws,
                 )
-            if trace_writer is not None:
-                _write_trace_rows(trace_writer, round_index, t_prev, y, delays, delivered, gen_before)
             t += float(cs[-1])
             elapsed += float(cs[-1])
-            round_index += r
             done += r
         return elapsed
 
@@ -510,19 +428,9 @@ def _simulate_single(config: SimConfig, replication: int, trace_writer=None) -> 
     )
 
 
-def simulate(config: SimConfig, trace_path=None) -> SimResult:
-    """Run one simulation (replication index 0), deterministically per seed.
-
-    ``trace_path`` enables a per-round debug CSV (round, duration,
-    delivered indices, per-node age after the round); intended for small
-    runs only.
-    """
-    if trace_path is None:
-        return _simulate_single(config, 0)
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "y", "delivered"] + [f"age_node_{i}" for i in range(config.n)])
-        return _simulate_single(config, 0, trace_writer=writer)
+def simulate(config: SimConfig) -> SimResult:
+    """Run one simulation (replication index 0), deterministically per seed."""
+    return _simulate_single(config, 0)
 
 
 def replicate(config: SimConfig) -> SimResult:

@@ -31,11 +31,11 @@ from multicast_aoi import (
     age_wait_for_all,
     optimal_alpha,
     optimal_k_closed_form,
-    order_stat_mc_oracle,
     order_stat_moments,
     simulate,
 )
 from multicast_aoi.cli import main
+from scalar_oracles import order_stat_mc_oracle
 
 SEED = 20250810
 

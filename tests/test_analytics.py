@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicast_aoi import (
-    EULER_GAMMA,
     age_earliest_k,
     age_earliest_k_approx,
     age_preselected_k,
@@ -22,6 +21,8 @@ from multicast_aoi import (
     order_stat_moments,
 )
 from multicast_aoi.analytics import AgeResult
+
+EULER_GAMMA = 0.5772156649015329
 
 RATE_GRID = (0.5, 1.0, 2.0)
 SHIFT_GRID = (0.0, 0.5, 1.0, 2.0)

@@ -77,6 +77,15 @@ class TestAnalyze:
         assert code == 2
         assert "--k" in err and "--alpha" in err
 
+    def test_n_rejected_with_alpha(self, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--scheme", "earliest-k", "--lambda", "1", "--alpha", "0.5",
+             "--n", "10"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "--n" in err and "--alpha" in err
+
     def test_k_above_n_rejected(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--scheme", "earliest-k", "--lambda", "1", "--n", "2", "--k", "3"],
@@ -235,6 +244,16 @@ class TestSimulate:
         )
         assert code == 0
         assert "hyperexp(rates=1|6,weights=0.4|0.6)" in out
+
+    @pytest.mark.parametrize("flags", [["--lambda", "7"], ["--shift", "0.5"]])
+    def test_exponential_flags_rejected_with_hyperexp(self, capsys, flags):
+        code, out, err = run_cli(
+            ["simulate", "--scheme", "earliest-k", "--n", "3", "--k", "1",
+             "--hyperexp", "1,6:0.4,0.6", "--updates", "5000", "--seed", "3"] + flags,
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --lambda and --shift do not apply with --hyperexp\n"
 
     def test_bad_hyperexp_spec(self, capsys):
         code, _, err = run_cli(

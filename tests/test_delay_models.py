@@ -14,15 +14,11 @@ from multicast_aoi import (
     ShiftedExponential,
     harmonic,
     harmonic2,
-    model_mean,
-    model_variance,
-    order_stat_mc_oracle,
     order_stat_moments,
     partial_order_mean_sum,
-    sample_delay,
-    sample_delay_matrix,
 )
 from multicast_aoi.delay_models import _tail_sums
+from scalar_oracles import order_stat_mc_oracle
 
 
 class TestModels:
@@ -46,16 +42,16 @@ class TestModels:
         assert float(draws.min()) >= 0.0
 
     def test_closed_form_moments(self):
-        assert model_mean(ShiftedExponential(1.0, 1.0)) == pytest.approx(2.0)
-        assert model_variance(ShiftedExponential(1.0, 1.0)) == pytest.approx(1.0)
-        assert model_mean(ShiftedExponential(2.0, 0.0)) == pytest.approx(0.5)
+        assert ShiftedExponential(1.0, 1.0).mean() == pytest.approx(2.0)
+        assert ShiftedExponential(1.0, 1.0).variance() == pytest.approx(1.0)
+        assert ShiftedExponential(2.0, 0.0).mean() == pytest.approx(0.5)
         hyper = HyperExponential((1.0, 6.0), (0.4, 0.6))
-        assert model_mean(hyper) == pytest.approx(0.5)
+        assert hyper.mean() == pytest.approx(0.5)
         # mixture second moment 2*sum(w/r^2) minus squared mean
-        assert model_variance(hyper) == pytest.approx(2 * (0.4 + 0.6 / 36) - 0.25)
+        assert hyper.variance() == pytest.approx(2 * (0.4 + 0.6 / 36) - 0.25)
 
     def test_sample_delay_scalar(self):
-        x = sample_delay(ShiftedExponential(1.0, 2.0), RandomStream(11))
+        x = ShiftedExponential(1.0, 2.0).sample(RandomStream(11))
         assert isinstance(x, float) and x >= 2.0
 
     @pytest.mark.parametrize(
@@ -394,7 +390,5 @@ class TestMcOracle:
 
 
 def test_sample_delay_matrix_shape():
-    draws = sample_delay_matrix(ShiftedExponential(1.0, 0.0), 50, 3, RandomStream(1))
+    draws = ShiftedExponential(1.0, 0.0).sample(RandomStream(1), (50, 3))
     assert draws.shape == (50, 3)
-    with pytest.raises(ValueError):
-        sample_delay_matrix(ShiftedExponential(1.0), 0, 3, RandomStream(1))

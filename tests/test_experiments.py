@@ -8,21 +8,30 @@ import math
 import pytest
 
 from multicast_aoi import (
+    SCHEMES,
+    EarliestK,
+    PreSelectedK,
     SweepSpec,
+    WaitForAll,
     age_earliest_k,
+    age_earliest_k_approx,
+    age_preselected_k,
+    age_preselected_k_approx,
     age_preselected_k_process,
     age_wait_for_all,
-    rows_to_csv_text,
-    rows_to_json,
     run_fig4,
     run_fig5,
     run_fig6,
     run_sweep,
     run_validation,
-    write_rows_csv,
 )
+from multicast_aoi.cli import csv_text, json_text, main, table
 from multicast_aoi.delay_models import ShiftedExponential
 from multicast_aoi.experiments import CSV_COLUMNS
+
+
+def rows_to_csv_text(rows):
+    return csv_text(*table(rows))
 
 
 def rows_by(rows, **match):
@@ -43,6 +52,51 @@ def fig5_rows():
 @pytest.fixture(scope="module")
 def tiny_fig6_rows():
     return run_fig6(n_values=(1, 2), rounds=500, replications=1, seed=707, warmup=50)
+
+
+class TestSchemeRegistry:
+    CLI_NAMES = {
+        "wait-for-all": "wait_for_all",
+        "earliest-k": "earliest_k",
+        "pre-selected-k": "preselected_k",
+    }
+
+    @staticmethod
+    def chains(rate, shift, n, k):
+        """(policy, estimated age, approximate age) per scheme, written out one by one."""
+        return {
+            "wait_for_all": (WaitForAll(), age_wait_for_all(rate, shift, n).total, None),
+            "earliest_k": (
+                EarliestK(k),
+                age_earliest_k(rate, shift, n, k).total,
+                age_earliest_k_approx(rate, shift, k / n).total if k < n else None,
+            ),
+            "preselected_k": (
+                PreSelectedK(k),
+                age_preselected_k_process(rate, shift, n, k).total,
+                age_preselected_k_approx(rate, shift, n, k).total,
+            ),
+        }
+
+    def test_names(self):
+        assert {s.cli_name: name for name, s in SCHEMES.items()} == self.CLI_NAMES
+        assert all(s.name == name for name, s in SCHEMES.items())
+
+    @pytest.mark.parametrize("rate, shift", [(1.0, 0.0), (0.5, 1.0), (2.0, 0.25)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_matches_the_per_scheme_chains(self, rate, shift, n):
+        for k in sorted({1, (n + 1) // 2, n}):
+            chains = self.chains(rate, shift, n, k)
+            assert set(SCHEMES) == set(chains)
+            for name, (policy, estimated, approx) in chains.items():
+                scheme = SCHEMES[name]
+                assert scheme.policy(k, "per_update") == policy
+                assert scheme.estimated(rate, shift, n, k).total == estimated
+                got = scheme.approx(rate, shift, n, k)
+                assert (None if got is None else got.total) == approx
+            published = SCHEMES["preselected_k"].published(rate, shift, n, k)
+            assert published.total == age_preselected_k(rate, shift, n, k).total
+            assert SCHEMES["preselected_k"].policy(k, "fixed") == PreSelectedK(k, "fixed")
 
 
 class TestValidationGrid:
@@ -199,8 +253,11 @@ class TestOutputFormats:
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == list(CSV_COLUMNS)
         assert len(parsed) == len(rows) + 1
+        # The same sweep through the CLI, written to a file.
         path = tmp_path / "rows.csv"
-        write_rows_csv(rows, path)
+        assert main(["experiment", "fig6", "--n-min", "1", "--n-max", "2", "--rounds", "500",
+                     "--replications", "1", "--seed", "707", "--warmup", "50",
+                     "--format", "csv", "--output", str(path)]) == 0
         assert path.read_text() == text
 
     def test_missing_values_are_empty_fields(self):
@@ -218,7 +275,7 @@ class TestOutputFormats:
 
     def test_json_mirror(self, tiny_fig6_rows):
         rows = tiny_fig6_rows
-        payload = json.loads(rows_to_json(rows))
+        payload = json.loads(json_text(rows))
         assert len(payload) == len(rows)
         assert payload[0]["n"] == rows[0].n
         assert payload[0]["kstar_flag"] is True

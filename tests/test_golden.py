@@ -13,13 +13,14 @@ and names it in CHANGES.md::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import contextlib
 import io
 import pathlib
 
 import pytest
 
-from multicast_aoi.cli import main
+from multicast_aoi.cli import build_parser, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -67,6 +68,7 @@ CASES = {
                                    "--lambda", "1", "--shift", "0.5", "--format", "csv"] + _SIM,
     "simulate_preselected_k_all_nodes": ["simulate", "--scheme", "pre-selected-k", "--k", "20",
                                          "--lambda", "1", "--shift", "0.5"] + _SIM,
+    "experiment_fig4": ["experiment", "fig4", "--rounds", "2000", "--step", "50"] + _EXP,
     "experiment_fig4_csv": ["experiment", "fig4", "--rounds", "2000", "--step", "50",
                             "--format", "csv"] + _EXP,
     "experiment_fig4_json": ["experiment", "fig4", "--rounds", "2000", "--step", "50",
@@ -78,6 +80,8 @@ CASES = {
     "experiment_fig6_json": ["experiment", "fig6", "--rounds", "1000", "--n-min", "3",
                              "--n-max", "5", "--replications", "2", "--format", "json"] + _EXP,
     "validate": ["validate", "--rounds", "2000"] + _EXP,
+    "validate_json": ["validate", "--rounds", "2000", "--format", "json"] + _EXP,
+    "validate_csv": ["validate", "--rounds", "2000", "--format", "csv"] + _EXP,
 }
 
 
@@ -87,6 +91,25 @@ def _run(argv) -> str:
         code = main(argv)
     assert code == 0, f"{argv} exited with {code}"
     return out.getvalue()
+
+
+def test_every_command_and_format_has_a_case():
+    covered = {
+        (argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "human")
+        for argv in CASES.values()
+    }
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    missing = [
+        (command, fmt)
+        for command, parser in commands.items()
+        for action in parser._actions if action.dest == "format"
+        for fmt in action.choices
+        if (command, fmt) not in covered
+    ]
+    assert not missing
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,6 +1,5 @@
 """Monte Carlo engine: round resolution, sawtooth accounting, oracle agreement."""
 
-import csv
 import itertools
 import math
 from fractions import Fraction
@@ -13,21 +12,17 @@ from hypothesis import strategies as st
 from multicast_aoi import (
     EarliestK,
     HyperExponential,
-    NodeAgeState,
     PreSelectedK,
     RandomStream,
     ShiftedExponential,
     SimConfig,
     SimulationError,
     WaitForAll,
-    accumulate_delivery,
     age_earliest_k,
     age_preselected_k_process,
     age_wait_for_all,
     replicate,
-    run_round,
     run_rounds,
-    sample_delay_matrix,
     simulate,
 )
 from multicast_aoi.simulator import (
@@ -36,6 +31,7 @@ from multicast_aoi.simulator import (
     _accumulate_block,
     _slowest_rank_cdf,
 )
+from scalar_oracles import NodeAgeState, accumulate_delivery, run_round
 
 
 class TestRunRound:
@@ -139,12 +135,12 @@ class TestRunRounds:
         assert y.tolist() == [max(row) for row in rows] and delivered.all()
 
     def test_earliest_delivers_exactly_k(self):
-        delays = sample_delay_matrix(ShiftedExponential(1.0), 500, 7, RandomStream(3))
+        delays = ShiftedExponential(1.0).sample(RandomStream(3), (500, 7))
         _, delivered = run_rounds(EarliestK(3), delays)
         assert (delivered.sum(axis=1) == 3).all()
 
     def test_preselected_delivers_at_least_k(self):
-        delays = sample_delay_matrix(ShiftedExponential(1.0), 500, 7, RandomStream(4))
+        delays = ShiftedExponential(1.0).sample(RandomStream(4), (500, 7))
         y, delivered = run_rounds(PreSelectedK(3), delays, group_stream=RandomStream(5))
         assert (delivered.sum(axis=1) >= 3).all()
         np.testing.assert_array_equal(delivered, delays <= y[:, None])
@@ -248,7 +244,7 @@ def reference_simulate(config):
         if config.policy.k < n:
             fixed_group = group_stream.generator.permuted(np.arange(n))[: config.policy.k]
     total = config.warmup + config.updates
-    delays = sample_delay_matrix(config.model, total, n, delay_stream)
+    delays = config.model.sample(delay_stream, (total, n))
     states = [NodeAgeState() for _ in range(n)]
     counts = np.zeros(n, dtype=int)
     t = 0.0
@@ -519,7 +515,7 @@ class TestDeliveryStatistics:
 
     def test_rounds_between_deliveries_geometric(self):
         n, k = 10, 3
-        delays = sample_delay_matrix(ShiftedExponential(1.0), 120_000, n, RandomStream(24))
+        delays = ShiftedExponential(1.0).sample(RandomStream(24), (120_000, n))
         _, delivered = run_rounds(EarliestK(k), delays)
         gaps = np.diff(np.flatnonzero(delivered[:, 0]))
         mean_expected = n / k
@@ -694,25 +690,3 @@ class TestFailureModes:
             SimConfig(
                 n=2, policy=EarliestK(1), model=ShiftedExponential(1, 0), updates=99, seed=1
             )
-
-
-class TestTrace:
-    def test_trace_rows_consistent(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        config = SimConfig(
-            n=1, policy=EarliestK(1), model=ShiftedExponential(1, 1),
-            updates=120, warmup=10, seed=51,
-        )
-        result = simulate(config, trace_path=path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["round", "y", "delivered", "age_node_0"]
-        body = rows[1:]
-        assert len(body) == 130
-        assert [int(r[0]) for r in body] == list(range(130))
-        for r in body:
-            # single node, earliest-1: delivered every round and the age at
-            # the round end equals that round's duration
-            assert r[2] == "0"
-            assert float(r[3]) == pytest.approx(float(r[1]), rel=1e-12)
-        assert result.rounds == 120
