@@ -68,6 +68,14 @@ CASES = {
                                    "--lambda", "1", "--shift", "0.5", "--format", "csv"] + _SIM,
     "simulate_preselected_k_all_nodes": ["simulate", "--scheme", "pre-selected-k", "--k", "20",
                                          "--lambda", "1", "--shift", "0.5"] + _SIM,
+    # a warmup of 25 000 rounds at n = 200 spans two chunks of the engine
+    "simulate_wait_for_all_long_warmup": ["simulate", "--scheme", "wait-for-all", "--lambda",
+                                          "1", "--shift", "0.5", "--n", "200", "--updates",
+                                          "2000", "--warmup", "25000", "--seed", "5"],
+    "simulate_earliest_k_long_warmup_json": ["simulate", "--scheme", "earliest-k", "--k", "150",
+                                             "--lambda", "1", "--shift", "0.5", "--n", "200",
+                                             "--updates", "2000", "--warmup", "25000",
+                                             "--seed", "5", "--format", "json"],
     "experiment_fig4": ["experiment", "fig4", "--rounds", "2000", "--step", "50"] + _EXP,
     "experiment_fig4_csv": ["experiment", "fig4", "--rounds", "2000", "--step", "50",
                             "--format", "csv"] + _EXP,

@@ -606,6 +606,35 @@ class TestDeterminismAndAggregation:
         assert result.std_error.hex() == std_error
         assert result.virtual_time.hex() == virtual_time
 
+    # float.hex as above, recorded with version 0.5.0, of runs whose warmup
+    # hands its state on to the measured updates: at n = 200 a warmup of
+    # 25 000 rounds spans two chunks; EarliestK(1) with a warmup of 3 leaves
+    # most of the 40 nodes with no delivery, so they start from state 0
+    PINNED_WARMUP_BITS = [
+        (WaitForAll(), 200, 25_000,
+         "0x1.352bc27860b3dp+2", "0x1.fba38bd19f50fp-7", "0x1.8f9169ba05c61p+13"),
+        (EarliestK(150), 200, 25_000,
+         "0x1.4dccd24adf4c5p+1", "0x1.94ac93f145a6fp-9", "0x1.d540972253951p+11"),
+        (PreSelectedK(150), 200, 25_000,
+         "0x1.2aab696ed841fp+2", "0x1.0f09c5bfcf3bcp-6", "0x1.7b0230ee15119p+13"),
+        (EarliestK(1), 40, 3,
+         "0x1.45a40ded59626p+4", "0x1.39c4272b19c7bp-1", "0x1.06457ba84da0bp+10"),
+    ]
+
+    @pytest.mark.parametrize(
+        "policy, n, warmup, grand_mean, std_error, virtual_time", PINNED_WARMUP_BITS,
+        ids=["wait_for_all", "earliest_k", "preselected_k", "earliest_one_short_warmup"],
+    )
+    def test_pinned_warmup_bits(self, policy, n, warmup, grand_mean, std_error, virtual_time):
+        config = SimConfig(
+            n=n, policy=policy, model=ShiftedExponential(1.0, 0.5),
+            updates=2000, warmup=warmup, seed=5,
+        )
+        result = simulate(config)
+        assert result.grand_mean.hex() == grand_mean
+        assert result.std_error.hex() == std_error
+        assert result.virtual_time.hex() == virtual_time
+
     def test_all_k_equals_n_policies_identical(self):
         results = []
         for policy in (WaitForAll(), EarliestK(3), PreSelectedK(3)):
