@@ -58,4 +58,4 @@ from .simulator import (
     simulate,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"

@@ -43,15 +43,17 @@ from .simulator import SimConfig, SimulationError, replicate
 
 _SCHEMES_BY_CLI_NAME = {scheme.cli_name: scheme for scheme in SCHEMES.values()}
 
-# Each figure's sweep, called with the parsed arguments, and its default
+# Each figure's sweep, called with its own flags; the defaults of those
+# flags (the other figures' flags do not apply to it); and its default
 # (paper) rounds per point.
 _FIGURES = {
-    "fig4": (lambda args, **run: run_fig4(k_step=args.step, **run), 100_000),
-    "fig5": (lambda args, **run: run_fig5(k_step=args.step, **run), 100_000),
-    "fig6": (lambda args, **run: run_fig6(
-        n_values=tuple(range(args.n_min, args.n_max + 1, args.n_step)), **run
-    ), 1_000_000),
+    "fig4": (lambda step, **run: run_fig4(k_step=step, **run), {"step": 5}, 100_000),
+    "fig5": (lambda step, **run: run_fig5(k_step=step, **run), {"step": 5}, 100_000),
+    "fig6": (lambda n_min, n_max, n_step, **run: run_fig6(
+        n_values=tuple(range(n_min, n_max + 1, n_step)), **run
+    ), {"n_min": 1, "n_max": 200, "n_step": 1}, 1_000_000),
 }
+_FIGURE_FLAGS = ("step", "n_min", "n_max", "n_step")
 
 _OPTIMIZE_LABELS = {
     "alpha_star": "alpha*",
@@ -249,10 +251,12 @@ def _simulate(args) -> int:
     scheme = _SCHEMES_BY_CLI_NAME[args.scheme]
     model = _build_model(args)
     k = _scheme_k(scheme, args.n, args.k)
+    if args.regroup is not None and scheme.name != "preselected_k":
+        raise _CliError(f"--regroup does not apply to --scheme {scheme.cli_name}")
     seed = _seed(args)
     config = SimConfig(
         n=args.n,
-        policy=scheme.policy(k, args.regroup.replace("-", "_")),
+        policy=scheme.policy(k, (args.regroup or "per-update").replace("-", "_")),
         model=model,
         updates=args.updates,
         warmup=args.warmup,
@@ -311,12 +315,19 @@ def _optimize(args) -> int:
 
 
 def _experiment(args) -> int:
-    for flag, step in (("--step", args.step), ("--n-step", args.n_step)):
-        if step < 1:
-            raise _CliError(f"{flag} must be >= 1, got {step}")
-    run, default_rounds = _FIGURES[args.figure]
+    run, defaults, default_rounds = _FIGURES[args.figure]
+    flags = {}
+    for dest in _FIGURE_FLAGS:
+        flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
+        if dest not in defaults:
+            if value is not None:
+                raise _CliError(f"{flag} does not apply to experiment {args.figure}")
+            continue
+        flags[dest] = defaults[dest] if value is None else value
+        if dest.endswith("step") and flags[dest] < 1:
+            raise _CliError(f"{flag} must be >= 1, got {flags[dest]}")
     rows = run(
-        args,
+        **flags,
         rounds=args.rounds if args.rounds is not None else default_rounds,
         warmup=args.warmup,
         replications=args.replications,
@@ -380,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--updates", type=int, default=100_000)
     _add_run_flags(p)
     p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--regroup", choices=("per-update", "fixed"), default="per-update")
+    p.add_argument("--regroup", choices=("per-update", "fixed"), default=None,
+                   help="pre-selected-k only: redraw the group per update (default) "
+                   "or keep one")
 
     p = command("optimize", _optimize, "age-minimizing stopping threshold")
     _add_model_flags(p)
@@ -389,12 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("experiment", _experiment, "run a predefined sweep and emit its table")
     p.add_argument("figure", choices=tuple(_FIGURES))
     p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--step", type=int, default=5, help="k-grid step (fig4/fig5)")
+    p.add_argument("--step", type=int, default=None, help="k-grid step (fig4/fig5, default 5)")
     _add_run_flags(p)
     p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--n-min", type=int, default=1, help="fig6 smallest n")
-    p.add_argument("--n-max", type=int, default=200, help="fig6 largest n")
-    p.add_argument("--n-step", type=int, default=1, help="fig6 n stride")
+    p.add_argument("--n-min", type=int, default=None, help="fig6 smallest n (default 1)")
+    p.add_argument("--n-max", type=int, default=None, help="fig6 largest n (default 200)")
+    p.add_argument("--n-step", type=int, default=None, help="fig6 n stride (default 1)")
 
     p = command("validate", _validate, "simulation-vs-theory agreement grid")
     p.add_argument("--rounds", type=int, default=100_000)

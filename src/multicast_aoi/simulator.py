@@ -15,9 +15,15 @@ with no loop over nodes.  Earliest-k and per-update pre-selected rounds
 share one resolve: a sorted copy of each row, from which earliest-k
 reads its k-th smallest delay, and pre-selected the delay of its group's
 slowest member, whose rank is drawn without ever drawing the group (see
-:func:`run_rounds`).  Each run keeps one workspace of flat buffers that
-every block reuses: the delays are drawn into it, and resolution and
-accumulation work in it in place, so that a block costs no fresh pages.
+:func:`run_rounds`).  When the policy waits for all n nodes, the
+node-major copy of a block is already in delivery order, and the pass
+credits it without picking deliveries out of the mask.  Warmup rounds
+are sampled and resolved like the others, so the random streams advance
+alike, but their sawtooth is not accounted: each node keeps only its last
+delivery, the state that the measured rounds start from.  Each run keeps
+one workspace of flat buffers that every block reuses: the delays are
+drawn into it, and resolution and accumulation work in it in place, so
+that a block costs no fresh pages.
 """
 
 from __future__ import annotations
@@ -226,10 +232,11 @@ def run_rounds(
             y = np.take(ordered, pick)
     np.less_equal(delays, y[:, None], out=delivered)
     if isinstance(policy, EarliestK):
-        # A row holds more than k delays <= y only when several tie at y:
-        # there every delay below y is delivered and the remaining places go
-        # to the tied nodes, lowest index first.
-        tied = np.flatnonzero(np.count_nonzero(delivered, axis=1) > k)
+        # A row holds more than k delays <= y only when several tie at y, that
+        # is when its sorted copy holds y again at index k: there every delay
+        # below y is delivered and the remaining places go to the tied nodes,
+        # lowest index first.
+        tied = np.flatnonzero(ordered[:, k] == y)
         if tied.size:
             rows, y_tied = delays[tied], y[tied, None]
             at_y = rows == y_tied
@@ -284,7 +291,7 @@ class SimResult:
 def _accumulate_block(
     t_prev: np.ndarray,
     delays: np.ndarray,
-    delivered: np.ndarray,
+    delivered: Optional[np.ndarray],
     last_wall: np.ndarray,
     last_gen: np.ndarray,
     area: np.ndarray,
@@ -296,35 +303,50 @@ def _accumulate_block(
 
     A delivery after a gap ``g`` since the node's previous one, whose age
     right after that previous delivery was ``a0``, adds the trapezoid
-    ``a0*g + g**2/2`` to the node's area and ``g`` to its span.  Round j starts (and generates its update) at ``t_prev[j]``; node i
-    receives it at ``t_prev[j] + delays[j, i]`` when ``delivered[j, i]``;
-    every round delivers to at least one node.  All deliveries of the
-    block are laid out in one flat array, node by node and in round order
-    within a node, so that each delivery's predecessor is the previous
-    element; only the first delivery of each node takes its predecessor
-    from ``last_wall``/``last_gen``.  The per-node area is the sum of the
-    same trapezoid terms, taken in another order than one by one, so it
-    may differ from a one-by-one accumulation in its last bits; spans,
-    counts and the last delivery are exact.  The block-sized arrays are
-    buffers of ``ws``; only the index of the deliveries is allocated anew
+    ``a0*g + g**2/2`` to the node's area and ``g`` to its span.
+    Round j starts (and generates its update) at ``t_prev[j]``; node i
+    receives it at ``t_prev[j] + delays[j, i]`` when ``delivered[j, i]``,
+    or in every round when ``delivered`` is None (a policy that waits for
+    all n nodes); every round delivers to at least one node.  All
+    deliveries of the block are laid out in one flat array, node by node
+    and in round order within a node, so that each delivery's predecessor
+    is the previous element; only the first delivery of each node takes its
+    predecessor from ``last_wall``/``last_gen``.  When every node receives
+    every round, that array is the node-major copy of the block itself and
+    node i's deliveries start at ``i*rounds``; otherwise the mask picks the
+    deliveries out of it.  The per-node area is the sum of the same
+    trapezoid terms, taken in another order than one by one, so it may
+    differ from a one-by-one accumulation in its last bits; spans, counts
+    and the last delivery are exact.  The block-sized arrays are buffers of
+    ``ws``; only the index of the deliveries is allocated anew
     (``np.flatnonzero`` takes no ``out``).
     """
     rounds, n = delays.shape
-    mask = ws.array("node_mask", (n, rounds), bool)
-    np.copyto(mask, delivered.T)
-    delivery = np.flatnonzero(mask)
-    total = delivery.size
-    per_node = np.count_nonzero(mask, axis=1)
-    hit = np.flatnonzero(per_node)
-    last = np.cumsum(per_node[hit]) - 1
-    first = np.concatenate(([0], last[:-1] + 1))
     node_major = ws.array("node_major", (n, rounds))
     np.copyto(node_major, delays.T)
-    delay = np.take(node_major, delivery, out=ws.array("delay", (total,)), mode="clip")
-    node_major[...] = t_prev
-    wall = np.take(node_major, delivery, out=ws.array("wall", (total,)), mode="clip")
-    gen = wall[last]
-    np.add(wall, delay, out=wall)
+    if delivered is None:
+        per_node = rounds
+        hit = slice(None)
+        first = np.arange(0, n * rounds, rounds)
+        last = first + (rounds - 1)
+        delay = node_major.reshape(-1)
+        wall = np.add(node_major, t_prev, out=ws.array("wall", (n, rounds))).reshape(-1)
+        gen = t_prev[-1]
+    else:
+        mask = ws.array("node_mask", (n, rounds), bool)
+        np.copyto(mask, delivered.T)
+        delivery = np.flatnonzero(mask)
+        # Where each node's deliveries start in the delivery index.
+        bounds = np.searchsorted(delivery, np.arange(0, n * rounds + 1, rounds))
+        per_node = np.diff(bounds)
+        hit = np.flatnonzero(per_node)
+        first, last = bounds[hit], bounds[hit + 1] - 1
+        delay = np.take(node_major, delivery, out=ws.array("delay", delivery.shape), mode="clip")
+        node_major[...] = t_prev
+        wall = np.take(node_major, delivery, out=ws.array("wall", delivery.shape), mode="clip")
+        gen = wall[last]
+        np.add(wall, delay, out=wall)
+    total = wall.size
     # g is the gap since each delivery's predecessor; the age right after
     # the predecessor is the predecessor's own delay.
     g = ws.array("gap", (total,))
@@ -343,6 +365,26 @@ def _accumulate_block(
     count += per_node
     last_wall[hit] = wall[last]
     last_gen[hit] = gen
+
+
+def _keep_last_deliveries(
+    t_prev: np.ndarray,
+    delays: np.ndarray,
+    delivered: np.ndarray,
+    last_wall: np.ndarray,
+    last_gen: np.ndarray,
+) -> None:
+    """Move each node's state to its last delivery in a block of warmup rounds.
+
+    The state is what :func:`_accumulate_block` leaves, formed by the same
+    float operations, without its area, span and count.
+    """
+    rounds, n = delays.shape
+    row = rounds - 1 - np.argmax(delivered[::-1], axis=0)
+    nodes = np.flatnonzero(delivered[row, np.arange(n)])
+    row = row[nodes]
+    last_gen[nodes] = t_prev[row]
+    last_wall[nodes] = t_prev[row] + delays[row, nodes]
 
 
 def _simulate_single(config: SimConfig, replication: int) -> SimResult:
@@ -366,7 +408,9 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
     slice_rounds = max(1, _SLICE_ELEMENTS // n)
 
-    def consume(rounds: int) -> float:
+    every_node = _policy_threshold(policy, n) == n
+
+    def consume(rounds: int, account: bool = True) -> float:
         nonlocal t
         elapsed = 0.0
         done = 0
@@ -378,22 +422,21 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
             )
             cs = np.cumsum(y)
             t_prev = t + np.concatenate(([0.0], cs[:-1]))
-            for first in range(0, r, slice_rounds):
-                rows = slice(first, first + slice_rounds)
-                _accumulate_block(
-                    t_prev[rows], delays[rows], delivered[rows],
-                    last_wall, last_gen, area, span, count, ws,
-                )
+            if not account:
+                _keep_last_deliveries(t_prev, delays, delivered, last_wall, last_gen)
+            else:
+                for first in range(0, r, slice_rounds):
+                    rows = slice(first, first + slice_rounds)
+                    _accumulate_block(
+                        t_prev[rows], delays[rows], None if every_node else delivered[rows],
+                        last_wall, last_gen, area, span, count, ws,
+                    )
             t += float(cs[-1])
             elapsed += float(cs[-1])
             done += r
         return elapsed
 
-    if config.warmup:
-        consume(config.warmup)
-        area[:] = 0.0
-        span[:] = 0.0
-        count[:] = 0
+    consume(config.warmup, account=False)
 
     batches = max(1, min(_MAX_BATCHES, config.updates // 50))
     base, extra = divmod(config.updates, batches)

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from multicast_aoi import cli
 from multicast_aoi.cli import main
 
 
@@ -279,6 +280,26 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("scheme", [["wait-for-all"], ["earliest-k", "--k", "2"]])
+    @pytest.mark.parametrize("regroup", ["fixed", "per-update"])
+    def test_regroup_rejected_without_preselected(self, capsys, scheme, regroup):
+        # the flag once reached only PreSelectedK and was ignored by the others
+        code, out, err = run_cli(
+            ["simulate", "--scheme", *scheme, "--lambda", "1", "--n", "3",
+             "--updates", "200", "--regroup", regroup],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --regroup does not apply to --scheme {scheme[0]}\n"
+
+    def test_regroup_defaults_to_per_update(self, capsys):
+        args = ["simulate", "--scheme", "pre-selected-k", "--k", "2", "--lambda", "1",
+                "--n", "3", "--updates", "200", "--seed", "7"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert run_cli(args + ["--regroup", "per-update"], capsys) == (0, out, "")
+        assert run_cli(args + ["--regroup", "fixed"], capsys)[1] != out
+
     def test_starved_nodes_are_an_argument_error(self, capsys):
         # 100 rounds of earliest-1 among 100 nodes leave some node without an update
         code, out, err = run_cli(
@@ -342,6 +363,44 @@ class TestExperimentAndValidate:
         code, out, err = run_cli(["experiment"] + args + ["--rounds", "200"], capsys)
         assert code == 2 and out == ""
         assert err == f"error: {flag} must be >= 1, got {args[-1]}\n"
+
+    @pytest.mark.parametrize(
+        "figure, flags, rejected",
+        [
+            ("fig6", ["--step", "50"], "--step"),
+            ("fig4", ["--n-min", "2"], "--n-min"),
+            ("fig4", ["--n-max", "5"], "--n-max"),
+            ("fig5", ["--n-step", "3"], "--n-step"),
+            ("fig5", ["--step", "50", "--n-max", "5"], "--n-max"),
+        ],
+    )
+    def test_other_figures_flags_rejected(self, capsys, figure, flags, rejected):
+        # they were once accepted and ignored
+        code, out, err = run_cli(["experiment", figure, "--rounds", "200"] + flags, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {rejected} does not apply to experiment {figure}\n"
+
+    @pytest.mark.parametrize(
+        "argv, sweep, expected",
+        [
+            (["fig4"], "run_fig4", {"k_step": 5}),
+            (["fig5", "--step", "7"], "run_fig5", {"k_step": 7}),
+            (["fig6"], "run_fig6", {"n_values": tuple(range(1, 201))}),
+            (["fig6", "--n-min", "3", "--n-max", "9", "--n-step", "2"], "run_fig6",
+             {"n_values": (3, 5, 7, 9)}),
+        ],
+    )
+    def test_figure_flag_defaults(self, capsys, monkeypatch, argv, sweep, expected):
+        seen = {}
+
+        def fake_sweep(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(cli, sweep, fake_sweep)
+        monkeypatch.setattr(cli, "table", lambda rows: ((), []))
+        assert run_cli(["experiment", *argv, "--rounds", "200"], capsys)[0] == 0
+        assert {key: seen[key] for key in expected} == expected
 
     @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6"])
     @pytest.mark.parametrize("rounds", ["0", "-5"])

@@ -314,13 +314,14 @@ class TestEngineMatchesScalarReference:
         np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
 
 
-def drive_engine(policy, model, n, chunk_rounds, seed, reuse):
+def drive_engine(policy, model, n, chunk_rounds, seed, reuse, every_node=False):
     """Sample, resolve and accumulate consecutive chunks as the engine does.
 
     With ``reuse`` one workspace serves every chunk; without it, every call
-    gets fresh arrays.  Returns, per chunk, ``y``, the delivery mask and the
-    per-node state after the chunk.  Asserts that no call writes the arrays
-    it is handed.
+    gets fresh arrays.  With ``every_node`` the accumulation is told that
+    every node receives every round instead of being handed the mask.
+    Returns, per chunk, ``y``, the delivery mask and the per-node state
+    after the chunk.  Asserts that no call writes the arrays it is handed.
     """
     delay_stream, group_stream = RandomStream(seed, 0), RandomStream(seed, 1)
     last_wall, last_gen, area, span = (np.zeros(n) for _ in range(4))
@@ -346,7 +347,7 @@ def drive_engine(policy, model, n, chunk_rounds, seed, reuse):
         for first in range(0, rounds, slice_rounds):
             rows = slice(first, first + slice_rounds)
             _accumulate_block(
-                t_prev[rows], delays[rows], delivered[rows],
+                t_prev[rows], delays[rows], None if every_node else delivered[rows],
                 last_wall, last_gen, area, span, count,
                 workspace if reuse else _Workspace(),
             )
@@ -386,6 +387,19 @@ class TestWorkspace:
         reused = drive_engine(policy, model, n, chunks, seed=41, reuse=True)
         for fresh_chunk, reused_chunk in zip(fresh, reused):
             for a, b in zip(fresh_chunk, reused_chunk):
+                assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("n", [100, 1])
+    def test_every_node_path_matches_mask_path(self, n):
+        # with k = n the accumulation skips the mask compaction; area, span,
+        # count, last_wall and last_gen must keep every bit
+        model = ShiftedExponential(1.0, 1.0)
+        chunks = (1562, 1000, 1)
+        masked = drive_engine(WaitForAll(), model, n, chunks, seed=43, reuse=True)
+        direct = drive_engine(WaitForAll(), model, n, chunks, seed=43, reuse=True,
+                              every_node=True)
+        for masked_chunk, direct_chunk in zip(masked, direct):
+            for a, b in zip(masked_chunk, direct_chunk):
                 assert_same_bits(a, b)
 
     @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(2), PreSelectedK(2)])
