@@ -410,6 +410,14 @@ class TestExperimentAndValidate:
         assert code == 2 and out == ""
         assert err == f"error: rounds must be >= 100, got {rounds}\n"
 
+    @pytest.mark.parametrize("n_min, n_max", [("5", "3"), ("0", "3")])
+    def test_fig6_n_range_rejected(self, capsys, n_min, n_max):
+        code, out, err = run_cli(
+            ["experiment", "fig6", "--n-min", n_min, "--n-max", n_max, "--rounds", "200"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_validate_passes(self, capsys):
         code, out, _ = run_cli(
             ["validate", "--rounds", "5000", "--seed", "7"], capsys
