@@ -36,7 +36,6 @@ from .experiments import (
     SCHEMES,
     Scheme,
     SweepRow,
-    SweepSpec,
     ValidationCell,
     ValidationReport,
     run_fig4,
@@ -55,7 +54,6 @@ from .simulator import (
     WaitForAll,
     replicate,
     run_rounds,
-    simulate,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"

@@ -17,6 +17,7 @@ import numpy as np
 
 from .delay_models import (
     _check_kn,
+    _check_rate_shift,
     _tail_sums,
     harmonic,
     harmonic2,
@@ -85,13 +86,6 @@ def _result(scheme: str, kind: str, params: dict, breakdown: dict) -> AgeResult:
         scheme=scheme,
         params=params,
     )
-
-
-def _check_rate_shift(rate: float, shift: float) -> None:
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
-    if not (math.isfinite(shift) and shift >= 0):
-        raise ValueError(f"shift must be finite and >= 0, got {shift}")
 
 
 def _variance_ratio(rate, shift, t1, t2):

@@ -64,6 +64,13 @@ class RandomStream:
         return self._generator  # type: ignore[attr-defined]
 
 
+def _check_rate_shift(rate: float, shift: float) -> None:
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
+    if not (math.isfinite(shift) and shift >= 0):
+        raise ValueError(f"shift must be finite and >= 0, got {shift}")
+
+
 @dataclass(frozen=True)
 class ShiftedExponential:
     """Exponential(rate) delay translated right by ``shift`` >= 0.
@@ -75,10 +82,7 @@ class ShiftedExponential:
     shift: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-        if not (math.isfinite(self.shift) and self.shift >= 0):
-            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
+        _check_rate_shift(self.rate, self.shift)
 
     def mean(self) -> float:
         return self.shift + 1.0 / self.rate
@@ -298,14 +302,6 @@ def _check_kn(k: int, n: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
 
-def _check_order_stat_args(rate: float, shift: float, k: int, n: int) -> None:
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if shift < 0:
-        raise ValueError(f"shift must be >= 0, got {shift}")
-    _check_kn(k, n)
-
-
 def order_stat_moments(rate: float, shift: float, k: int, n: int) -> OrderStatMoments:
     """Mean, variance, and second moment of the k-th order statistic.
 
@@ -316,7 +312,8 @@ def order_stat_moments(rate: float, shift: float, k: int, n: int) -> OrderStatMo
     * variance = T2 / rate^2
     * second moment = mean^2 + variance
     """
-    _check_order_stat_args(rate, shift, k, n)
+    _check_rate_shift(rate, shift)
+    _check_kn(k, n)
     t1, t2, _ = _tail_sums(n, k)
     mean = shift + t1 / rate
     variance = t2 / rate / rate
@@ -334,5 +331,6 @@ def partial_order_mean_sum(rate: float, shift: float, k: int, n: int) -> float:
     ``k - (n-k) T1 = sum_{j=n-k+1..n} (j - n + k)/j`` is taken without
     cancellation.
     """
-    _check_order_stat_args(rate, shift, k, n)
+    _check_rate_shift(rate, shift)
+    _check_kn(k, n)
     return k * shift + _tail_sums(n, k)[2] / rate

@@ -1,11 +1,12 @@
 """The scheme registry, scenario sweeps and the simulation-vs-theory grid.
 
 :data:`SCHEMES` maps each stopping scheme to its CLI name, its policy and
-the ages a simulation of it is compared with.  Each sweep point is an
-independent simulation seeded deterministically from the sweep seed and
-the point's position, so tables are byte-stable across runs and
-independent of execution order.  Rows are sorted by (scheme, model, n, k)
-before emission.
+the ages a simulation of it is compared with.  A sweep is a list of
+``(model, scheme_name, n, k)`` points: each figure and the validation grid
+list theirs, and :func:`run_sweep` simulates every point independently,
+seeded from the sweep seed and the point's position, so tables are
+byte-stable across runs and independent of execution order.  The figures
+sort their rows by (scheme, model, n, k); the grid keeps its points' order.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Scheme",
     "SCHEMES",
-    "SweepSpec",
     "SweepRow",
     "sweep_row",
     "as_record",
@@ -123,47 +123,6 @@ def as_record(row) -> dict:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One parameter sweep: vary k at fixed n, or vary n with k chosen optimally."""
-
-    variable: str
-    values: tuple
-    schemes: tuple
-    models: tuple
-    rounds: int
-    seed: int
-    n: Optional[int] = None
-    warmup: int = 1000
-    replications: int = 1
-
-    def __post_init__(self):
-        if self.variable not in ("k", "n"):
-            raise ValueError(f"variable must be 'k' or 'n', got {self.variable!r}")
-        values = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if not values:
-            raise ValueError("values must be nonempty")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError(f"values must be strictly increasing, got {values}")
-        if values[0] < 1:
-            raise ValueError(f"values must be >= 1, got {values}")
-        if self.variable == "k":
-            if self.n is None:
-                raise ValueError("a k-sweep needs a fixed n")
-            if values[-1] > self.n:
-                raise ValueError(f"k values must stay within [1, n={self.n}], got {values}")
-        unknown = [s for s in self.schemes if s not in SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown schemes {unknown}; valid: {tuple(SCHEMES)}")
-        if self.variable == "n" and any(
-            not isinstance(m, ShiftedExponential) for m in self.models
-        ):
-            raise ValueError("an n-sweep picks k in closed form and needs shifted-exponential models")
-        if self.rounds < 100:
-            raise ValueError(f"rounds must be >= 100, got {self.rounds}")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """One sweep point: simulated age plus analytic columns when defined."""
 
@@ -205,33 +164,39 @@ def _point_seed(seed: int, index: int) -> int:
     return (seed + 1009 * (index + 1)) % 2**64
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Simulate every sweep point and attach analytic columns where defined."""
-    points = []
-    for model in spec.models:
-        for scheme in spec.schemes:
-            for value in spec.values:
-                if spec.variable == "k":
-                    n, k = spec.n, value
-                else:
-                    n = value
-                    k = optimal_k_closed_form(model.rate, model.shift, n)
-                points.append((model, scheme, n, k))
+def run_sweep(
+    points: Sequence[tuple],
+    rounds: int,
+    warmup: int,
+    seed: int,
+    replications: int = 1,
+) -> list[SweepRow]:
+    """Simulate each ``(model, scheme_name, n, k)`` point, in order, into a row.
 
+    Point i is seeded from ``seed`` and i alone.  The rows come back in
+    the order of the points.
+    """
+    if rounds < 100:
+        raise ValueError(f"rounds must be >= 100, got {rounds}")
+    if not points:
+        raise ValueError("a sweep needs at least one point")
     rows = []
     for index, (model, scheme, n, k) in enumerate(points):
         config = SimConfig(
             n=n,
             policy=SCHEMES[scheme].policy(k, "per_update"),
             model=model,
-            updates=spec.rounds,
-            warmup=spec.warmup,
-            seed=_point_seed(spec.seed, index),
-            replications=spec.replications,
+            updates=rounds,
+            warmup=warmup,
+            seed=_point_seed(seed, index),
+            replications=replications,
         )
         rows.append(sweep_row(SCHEMES[scheme], model, n, k, replicate(config)))
-    rows.sort(key=lambda r: (r.scheme, r.model, r.n, r.k))
     return rows
+
+
+def _sorted(rows: list[SweepRow]) -> list[SweepRow]:
+    return sorted(rows, key=lambda r: (r.scheme, r.model, r.n, r.k))
 
 
 def _k_values(n: int, step: int, extra: Sequence[int] = ()) -> tuple:
@@ -252,11 +217,12 @@ def run_fig4(
     mixture with rates (1, 6) and weights (0.4, 0.6).  Approximate ages
     are attached for the exponential rows.
     """
-    return run_sweep(SweepSpec(
-        variable="k", values=_k_values(100, k_step), schemes=("earliest_k",),
-        models=(ShiftedExponential(2.0, 0.0), HyperExponential((1.0, 6.0), (0.4, 0.6))),
-        n=100, rounds=rounds, warmup=warmup, replications=replications, seed=seed,
-    ))
+    points = [
+        (model, "earliest_k", 100, k)
+        for model in (ShiftedExponential(2.0, 0.0), HyperExponential((1.0, 6.0), (0.4, 0.6)))
+        for k in _k_values(100, k_step)
+    ]
+    return _sorted(run_sweep(points, rounds, warmup, seed, replications))
 
 
 def run_fig5(
@@ -271,36 +237,34 @@ def run_fig5(
     """Earliest-k vs pre-selected-k sweep at n=100, shift 1, several rates.
 
     Each rate's sweep always includes its closed-form optimum k*, and
-    that row carries ``kstar_flag``.
+    that row carries ``kstar_flag``.  Each rate is its own sweep, seeded
+    from ``seed`` and the rate's position.
     """
     rows = []
     for index, rate in enumerate(rates):
         kstar = optimal_k_closed_form(rate, shift, 100)
-        rows += run_sweep(SweepSpec(
-            variable="k", values=_k_values(100, k_step, extra=(kstar,)),
-            schemes=("earliest_k", "preselected_k"), models=(ShiftedExponential(rate, shift),),
-            n=100, rounds=rounds, warmup=warmup, replications=replications,
-            seed=(seed + 10**6 * index) % 2**64,
-        ))
-    rows.sort(key=lambda r: (r.scheme, r.model, r.n, r.k))
-    return rows
+        points = [
+            (ShiftedExponential(rate, shift), scheme, 100, k)
+            for scheme in ("earliest_k", "preselected_k")
+            for k in _k_values(100, k_step, extra=(kstar,))
+        ]
+        rows += run_sweep(points, rounds, warmup, (seed + 10**6 * index) % 2**64, replications)
+    return _sorted(rows)
 
 
 def run_fig6(
     n_values: Sequence[int] = tuple(range(1, 201)),
     rounds: int = 1_000_000,
     warmup: int = 1000,
-    replications: int = 4,
+    replications: int = 1,
     seed: int = DEFAULT_SEED,
     rate: float = 1.0,
     shift: float = 1.0,
 ) -> list[SweepRow]:
     """Minimum average age versus network size, stopping at the closed-form k*."""
-    return run_sweep(SweepSpec(
-        variable="n", values=tuple(n_values), schemes=("earliest_k",),
-        models=(ShiftedExponential(rate, shift),),
-        rounds=rounds, warmup=warmup, replications=replications, seed=seed,
-    ))
+    model = ShiftedExponential(rate, shift)
+    points = [(model, "earliest_k", n, optimal_k_closed_form(rate, shift, n)) for n in n_values]
+    return _sorted(run_sweep(points, rounds, warmup, seed, replications))
 
 
 @dataclass(frozen=True)
@@ -347,7 +311,6 @@ def run_validation(
     warmup: int = 1000,
     z_threshold: float = 4.0,
     exact_age_fn: Optional[Callable[[str, float, float, int, int], float]] = None,
-    ks: Optional[Sequence[int]] = None,
 ) -> ValidationReport:
     """Run the full oracle-agreement grid and score each cell by z.
 
@@ -357,31 +320,23 @@ def run_validation(
     the exact formula.  ``exact_age_fn`` can replace the analytic side,
     which lets the harness itself be mutation-tested.
     """
-    exact_fn = exact_age_fn or (
-        lambda scheme, *point: SCHEMES[scheme].estimated(*point).total
-    )
+    points = [
+        (ShiftedExponential(lam, shift), scheme, n, k)
+        for lam, shift in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0))
+        for n in (1, 2, 5, 10)
+        for scheme in SCHEMES
+        # A scheme without k (wait-for-all) runs once per (lam, shift, n).
+        for k in (sorted({1, math.ceil(n / 2), n}) if SCHEMES[scheme].has_k else (n,))
+    ]
     cells = []
-    for lam, shift in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)):
-        for n in (1, 2, 5, 10):
-            k_list = sorted({1, math.ceil(n / 2), n} if ks is None else
-                            {k for k in ks if 1 <= k <= n})
-            for scheme in SCHEMES:
-                # A scheme without k (wait-for-all) runs once per (lam, shift, n).
-                for k in k_list if SCHEMES[scheme].has_k else (n,):
-                    config = SimConfig(
-                        n=n,
-                        policy=SCHEMES[scheme].policy(k, "per_update"),
-                        model=ShiftedExponential(lam, shift),
-                        updates=rounds,
-                        warmup=warmup,
-                        seed=_point_seed(seed, len(cells)),
-                    )
-                    sim = replicate(config)
-                    exact = exact_fn(scheme, lam, shift, n, k)
-                    if sim.std_error > 0 and math.isfinite(sim.std_error):
-                        z = abs(sim.grand_mean - exact) / sim.std_error
-                    else:
-                        z = math.inf
-                    cells.append(ValidationCell(scheme, lam, shift, n, k, sim.grand_mean,
-                                                sim.std_error, exact, z, z <= z_threshold))
+    for row in run_sweep(points, rounds, warmup, seed):
+        exact = row.exact_age if exact_age_fn is None else exact_age_fn(
+            row.scheme, row.lam, row.shift, row.n, row.k
+        )
+        if row.sim_stderr > 0 and math.isfinite(row.sim_stderr):
+            z = abs(row.sim_age - exact) / row.sim_stderr
+        else:
+            z = math.inf
+        cells.append(ValidationCell(row.scheme, row.lam, row.shift, row.n, row.k, row.sim_age,
+                                    row.sim_stderr, exact, z, z <= z_threshold))
     return ValidationReport(cells=tuple(cells), z_threshold=z_threshold)

@@ -45,7 +45,6 @@ __all__ = [
     "SimResult",
     "SimulationError",
     "run_rounds",
-    "simulate",
     "replicate",
 ]
 
@@ -159,7 +158,7 @@ def run_rounds(
     policy: StoppingPolicy,
     delays: np.ndarray,
     group_stream: Optional[RandomStream] = None,
-    groups: Optional[np.ndarray] = None,
+    group: Optional[np.ndarray] = None,
     workspace: Optional[_Workspace] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve many update rounds at once.
@@ -167,8 +166,8 @@ def run_rounds(
     ``delays`` has shape (rounds, n).  Returns ``(y, delivered)`` where
     ``y[j]`` is round j's duration and ``delivered[j]`` is the boolean
     delivery mask.  Ties are broken toward the lowest node index.  For a
-    pre-selected policy, ``groups`` may fix the group (shape (k,) or
-    (rounds, k)); otherwise per-update groups come from ``group_stream``,
+    pre-selected policy, ``group`` (k node indices) may fix the group of
+    every round; otherwise per-update groups come from ``group_stream``,
     one uniform per round, and are never materialized.  Ranking a round's
     delays (ties by node index), the slowest member of a uniform k-group
     drawn independently of the delays has rank R with
@@ -198,24 +197,19 @@ def run_rounds(
         delivered.fill(True)
         return y, delivered
 
-    if isinstance(policy, PreSelectedK) and groups is not None:
+    if isinstance(policy, PreSelectedK) and group is not None:
         # Indexing a range checks the bounds and wraps negative indices.
-        groups = np.arange(n)[np.asarray(groups)]
-        if groups.ndim == 1:
-            groups = np.broadcast_to(groups[None, :], (rounds, groups.shape[0]))
-        if groups.shape != (rounds, k):
-            raise ValueError(
-                f"groups must have shape ({rounds}, {k}), got {groups.shape}"
-            )
-        # Flat indices of the group members; they are in range, so take
-        # needs no bounds check (and no buffering).
-        flat = np.add(groups, np.arange(0, rounds * n, n)[:, None],
-                      out=ws.array("flat_groups", (rounds, k), np.intp))
-        members = np.take(delays, flat, out=ws.array("members", (rounds, k)), mode="clip")
+        group = np.arange(n)[np.asarray(group)]
+        if group.shape != (k,):
+            raise ValueError(f"group must have shape ({k},), got {group.shape}")
+        # The indices are in range, so take needs no bounds check (and no
+        # buffering).
+        members = np.take(delays, group, axis=1, out=ws.array("members", (rounds, k)),
+                          mode="clip")
         y = members.max(axis=1)
     else:
         if isinstance(policy, PreSelectedK) and group_stream is None:
-            raise ValueError("pre-selected policy needs a group_stream or explicit groups")
+            raise ValueError("pre-selected policy needs a group_stream or a fixed group")
         # A full in-place sort of the rows is faster here than a partition
         # for earliest-k's k-th smallest delay, and gives the same value.
         ordered = ws.array("sorted", (rounds, n))
@@ -418,7 +412,7 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
             r = min(chunk_rounds, rounds - done)
             delays = model.sample(delay_stream, out=ws.array("delays", (r, n)))
             y, delivered = run_rounds(
-                policy, delays, group_stream=group_stream, groups=fixed_group, workspace=ws
+                policy, delays, group_stream=group_stream, group=fixed_group, workspace=ws
             )
             cs = np.cumsum(y)
             t_prev = t + np.concatenate(([0.0], cs[:-1]))
@@ -471,17 +465,11 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     )
 
 
-def simulate(config: SimConfig) -> SimResult:
-    """Run one simulation (replication index 0), deterministically per seed."""
-    return _simulate_single(config, 0)
-
-
 def replicate(config: SimConfig) -> SimResult:
     """Aggregate ``config.replications`` independently seeded simulations.
 
     Replication r draws from its own stream pair, so results merge
     deterministically by replication index regardless of execution order.
-    With a single replication this is exactly :func:`simulate`.
     """
     results = [_simulate_single(config, rep) for rep in range(config.replications)]
     if len(results) == 1:

@@ -28,8 +28,7 @@ def run_round(
 ) -> tuple[float, frozenset]:
     """Resolve a single update round; returns ``(y, delivered node indices)``."""
     row = np.atleast_2d(np.asarray(delays, dtype=float))
-    groups = None if group is None else np.asarray(group)
-    y, delivered = run_rounds(policy, row, group_stream=group_stream, groups=groups)
+    y, delivered = run_rounds(policy, row, group_stream=group_stream, group=group)
     return float(y[0]), frozenset(int(i) for i in np.flatnonzero(delivered[0]))
 
 

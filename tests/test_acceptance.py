@@ -32,7 +32,7 @@ from multicast_aoi import (
     optimal_alpha,
     optimal_k_closed_form,
     order_stat_moments,
-    simulate,
+    replicate,
 )
 from multicast_aoi.cli import main
 from scalar_oracles import order_stat_mc_oracle
@@ -100,7 +100,7 @@ def test_criterion_02_simulation_vs_theory_oracle():
             updates=1_000_000,
             seed=SEED + index,
         )
-        result = simulate(config)
+        result = replicate(config)
         oracle = oracle_fns[scheme](lam, c, n, k)
         published = published_fns[scheme](lam, c, n, k)
         tolerance = max(3 * result.std_error, 0.01 * oracle)
@@ -186,7 +186,7 @@ def test_criterion_05_memoryless_monotonicity():
             updates=100_000,
             seed=SEED + 1000 + index,
         )
-        result = simulate(config)
+        result = replicate(config)
         sims.append((result.grand_mean, result.std_error))
     no_significant_drop = all(
         b_mean - a_mean >= -3 * math.hypot(a_err, b_err)
@@ -226,7 +226,7 @@ def test_criterion_07_scheme_dominance_at_kstar():
                 updates=1_000_000,
                 seed=SEED + 2000 + 10 * index + offset,
             )
-            results[type(policy).__name__] = simulate(config)
+            results[type(policy).__name__] = replicate(config)
         earliest = results["EarliestK"]
         preselected = results["PreSelectedK"]
         margin = preselected.grand_mean - earliest.grand_mean

@@ -364,6 +364,22 @@ class TestPartialOrderMeanSum:
                 )
 
 
+@pytest.mark.parametrize(
+    "check",
+    [order_stat_moments, partial_order_mean_sum,
+     lambda rate, shift, k, n: ShiftedExponential(rate, shift)],
+    ids=["order_stat_moments", "partial_order_mean_sum", "ShiftedExponential"],
+)
+@pytest.mark.parametrize(
+    "rate, shift",
+    [(math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (-1.0, 0.0),
+     (1.0, math.nan), (1.0, math.inf), (1.0, -0.5)],
+)
+def test_one_rate_shift_rule(check, rate, shift):
+    with pytest.raises(ValueError, match="rate|shift"):
+        check(rate, shift, 1, 2)
+
+
 class TestMcOracle:
     def test_agrees_with_closed_forms(self):
         stream = RandomStream(2024)

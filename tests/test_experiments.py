@@ -11,7 +11,6 @@ from multicast_aoi import (
     SCHEMES,
     EarliestK,
     PreSelectedK,
-    SweepSpec,
     WaitForAll,
     age_earliest_k,
     age_earliest_k_approx,
@@ -99,9 +98,26 @@ class TestSchemeRegistry:
             assert SCHEMES["preselected_k"].policy(k, "fixed") == PreSelectedK(k, "fixed")
 
 
+@pytest.fixture(scope="module")
+def default_report():
+    return run_validation(rounds=20_000, seed=7)
+
+
+class TestRunSweep:
+    def test_rows_follow_the_points_and_repeat(self):
+        model = ShiftedExponential(1.0, 0.0)
+        points = [(model, "earliest_k", 5, 3), (model, "wait_for_all", 5, 5),
+                  (model, "earliest_k", 5, 1)]
+        rows = run_sweep(points, rounds=500, warmup=50, seed=11)
+        assert [(r.scheme, r.n, r.k) for r in rows] == [(s, n, k) for _, s, n, k in points]
+        assert run_sweep(points, rounds=500, warmup=50, seed=11) == rows
+        # a point's seed depends on its position alone
+        assert run_sweep(points[:1], rounds=500, warmup=50, seed=11) == rows[:1]
+
+
 class TestValidationGrid:
-    def test_default_grid_passes(self):
-        report = run_validation(rounds=20_000, seed=7)
+    def test_default_grid_passes(self, default_report):
+        report = default_report
         assert report.passed, "\n".join(report.lines())
         assert len(report.cells) == 4 * (3 + 5 + 7 + 7)
         assert all("pass" in line or "cells" in line for line in report.lines())
@@ -120,55 +136,16 @@ class TestValidationGrid:
         failing = [c for c in report.cells if not c.passed]
         assert failing and all(c.scheme == "earliest_k" for c in failing)
 
-    def test_k_equals_n_single_analytic_value(self):
-        report = run_validation(rounds=20_000, seed=7, ks=(10,))
+    def test_k_equals_n_single_analytic_value(self, default_report):
+        # every scheme has a k = n cell at each (lambda, shift, n)
         by_key = {}
-        for cell in report.cells:
+        for cell in default_report.cells:
             if cell.k == cell.n:
-                by_key.setdefault((cell.lam, cell.shift, cell.n), set()).add(
+                by_key.setdefault((cell.lam, cell.shift, cell.n), []).append(
                     round(cell.exact_age, 12)
                 )
-        assert by_key and all(len(values) == 1 for values in by_key.values())
-
-
-class TestSweepSpec:
-    def test_validation(self):
-        model = ShiftedExponential(1.0, 0.0)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="j", values=(1,), schemes=("earliest_k",),
-                      models=(model,), rounds=1000, seed=1, n=5)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="k", values=(), schemes=("earliest_k",),
-                      models=(model,), rounds=1000, seed=1, n=5)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="k", values=(2, 2), schemes=("earliest_k",),
-                      models=(model,), rounds=1000, seed=1, n=5)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="k", values=(1, 9), schemes=("earliest_k",),
-                      models=(model,), rounds=1000, seed=1, n=5)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="k", values=(1, 2), schemes=("fastest_k",),
-                      models=(model,), rounds=1000, seed=1, n=5)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="k", values=(1, 2), schemes=("earliest_k",),
-                      models=(model,), rounds=1000, seed=1)  # n missing
-
-    def test_rows_sorted_and_reproducible(self):
-        spec = SweepSpec(
-            variable="k",
-            values=(1, 3, 5),
-            schemes=("earliest_k", "wait_for_all"),
-            models=(ShiftedExponential(1.0, 0.0),),
-            rounds=500,
-            seed=11,
-            n=5,
-            warmup=50,
-        )
-        rows = run_sweep(spec)
-        keys = [(r.scheme, r.model, r.n, r.k) for r in rows]
-        assert keys == sorted(keys)
-        again = run_sweep(spec)
-        assert rows == again
+        assert len(by_key) == 4 * 4
+        assert all(len(values) == 3 and len(set(values)) == 1 for values in by_key.values())
 
 
 class TestFig4:

@@ -23,7 +23,6 @@ from multicast_aoi import (
     age_wait_for_all,
     replicate,
     run_rounds,
-    simulate,
 )
 from multicast_aoi.simulator import (
     _SLICE_ELEMENTS,
@@ -75,7 +74,7 @@ class TestRunRound:
         delays = np.full((4, 3), 0.5)
         delays[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            run_rounds(policy, delays, groups=np.array([0]))
+            run_rounds(policy, delays, group=np.array([0]))
 
     def test_preselected_needs_group_source(self):
         with pytest.raises(ValueError):
@@ -94,15 +93,14 @@ class TestRunRounds:
         k = data.draw(st.integers(min_value=1, max_value=n))
         rng = np.random.default_rng(seed)
         delays = rng.random((rounds, n))
-        groups = np.stack([rng.permutation(n)[:k] for _ in range(rounds)])
-        for policy, batch_groups in (
+        fixed = rng.permutation(n)[:k]
+        for policy, group in (
             (WaitForAll(), None),
             (EarliestK(k), None),
-            (PreSelectedK(k), groups),
+            (PreSelectedK(k), fixed),
         ):
-            y, delivered = run_rounds(policy, delays, groups=batch_groups)
+            y, delivered = run_rounds(policy, delays, group=group)
             for j in range(rounds):
-                group = None if batch_groups is None else batch_groups[j]
                 y_one, delivered_one = run_round(policy, delays[j], group=group)
                 assert y[j] == y_one
                 assert frozenset(np.flatnonzero(delivered[j])) == delivered_one
@@ -119,15 +117,15 @@ class TestRunRounds:
         rows = data.draw(
             st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=12)
         )
-        groups = [data.draw(st.permutations(range(n)))[:k] for _ in rows]
+        group = data.draw(st.permutations(range(n)))[:k]
         delays = np.array(rows, dtype=float)
         y, delivered = run_rounds(EarliestK(k), delays)
         for j, row in enumerate(rows):
             first_k = sorted((delay, index) for index, delay in enumerate(row))[:k]
             assert y[j] == first_k[-1][0]
             assert set(np.flatnonzero(delivered[j])) == {index for _, index in first_k}
-        y, delivered = run_rounds(PreSelectedK(k), delays, groups=np.array(groups))
-        for j, (row, group) in enumerate(zip(rows, groups)):
+        y, delivered = run_rounds(PreSelectedK(k), delays, group=np.array(group))
+        for j, row in enumerate(rows):
             slowest = max(row[i] for i in group)
             assert y[j] == slowest
             assert set(np.flatnonzero(delivered[j])) == {i for i in range(n) if row[i] <= slowest}
@@ -294,7 +292,7 @@ class TestEngineMatchesScalarReference:
             warmup=25,
             seed=97,
         )
-        result = simulate(config)
+        result = replicate(config)
         per_node, fraction, virtual = reference_simulate(config)
         np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
         np.testing.assert_array_equal(result.delivery_fraction, fraction)
@@ -309,7 +307,7 @@ class TestEngineMatchesScalarReference:
             warmup=0,
             seed=5,
         )
-        result = simulate(config)
+        result = replicate(config)
         per_node, _, _ = reference_simulate(config)
         np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
 
@@ -414,7 +412,7 @@ class TestWorkspace:
 
 class TestOracleAgreement:
     def assert_close(self, config, expected, sigmas=4.0):
-        result = simulate(config)
+        result = replicate(config)
         tol = max(sigmas * result.std_error, 0.004 * expected)
         assert abs(result.grand_mean - expected) <= tol, (
             f"{config.policy}: simulated {result.grand_mean:.5f} "
@@ -461,7 +459,7 @@ class TestOracleAgreement:
         config = SimConfig(
             n=n, policy=EarliestK(k), model=model, updates=200_000, seed=15
         )
-        result = simulate(config)
+        result = replicate(config)
         assert abs(result.grand_mean - expected) <= max(
             4 * result.std_error, 0.01 * expected
         )
@@ -479,7 +477,7 @@ class TestErrorCalibration:
                 n=5, policy=policy, model=ShiftedExponential(1.0, 1.0),
                 updates=5_000, warmup=200, seed=seed,
             )
-            result = simulate(config)
+            result = replicate(config)
             z.append((result.grand_mean - exact) / result.std_error)
         z = np.array(z)
         assert 0.85 <= z.std(ddof=1) <= 1.20
@@ -497,7 +495,7 @@ class TestDeliveryStatistics:
         config = SimConfig(
             n=10, policy=EarliestK(3), model=ShiftedExponential(1, 0), updates=50_000, seed=21
         )
-        result = simulate(config)
+        result = replicate(config)
         assert result.delivery_fraction.mean() == pytest.approx(0.3, abs=1e-12)
         sigma = math.sqrt(0.3 * 0.7 / config.updates)
         assert np.all(np.abs(result.delivery_fraction - 0.3) <= 4 * sigma)
@@ -508,7 +506,7 @@ class TestDeliveryStatistics:
         config = SimConfig(
             n=n, policy=PreSelectedK(k), model=ShiftedExponential(1, 0), updates=50_000, seed=22
         )
-        result = simulate(config)
+        result = replicate(config)
         sigma = math.sqrt(p * (1 - p) / config.updates)
         assert np.all(np.abs(result.delivery_fraction - p) <= 4 * sigma)
 
@@ -520,7 +518,7 @@ class TestDeliveryStatistics:
             updates=5_000,
             seed=23,
         )
-        result = simulate(config)
+        result = replicate(config)
         fractions = np.sort(result.delivery_fraction)
         # two group members at exactly 1; outsiders near k/(k+1)
         assert fractions[-2:] == pytest.approx([1.0, 1.0])
@@ -546,7 +544,7 @@ class TestDeterminismAndAggregation:
         config = SimConfig(
             n=4, policy=EarliestK(2), model=ShiftedExponential(1, 1), updates=5_000, seed=31
         )
-        a, b = simulate(config), simulate(config)
+        a, b = replicate(config), replicate(config)
         np.testing.assert_array_equal(a.per_node_avg_age, b.per_node_avg_age)
         np.testing.assert_array_equal(a.delivery_fraction, b.delivery_fraction)
         assert a.grand_mean == b.grand_mean
@@ -582,7 +580,7 @@ class TestDeterminismAndAggregation:
         config = SimConfig(
             n=20, policy=policy, model=ShiftedExponential(1.0, 0.5), updates=20_000, seed=5
         )
-        result = simulate(config)
+        result = replicate(config)
         assert result.grand_mean == pytest.approx(grand_mean, rel=1e-12, abs=0)
         # a spread of 32 batch means: it amplifies last-bit changes of the sums
         assert result.std_error == pytest.approx(std_error, rel=1e-10, abs=0)
@@ -615,7 +613,7 @@ class TestDeterminismAndAggregation:
             n=20, policy=policy, model=model or ShiftedExponential(1.0, 0.5),
             updates=20_000, seed=5,
         )
-        result = simulate(config)
+        result = replicate(config)
         assert result.grand_mean.hex() == grand_mean
         assert result.std_error.hex() == std_error
         assert result.virtual_time.hex() == virtual_time
@@ -644,7 +642,7 @@ class TestDeterminismAndAggregation:
             n=n, policy=policy, model=ShiftedExponential(1.0, 0.5),
             updates=2000, warmup=warmup, seed=5,
         )
-        result = simulate(config)
+        result = replicate(config)
         assert result.grand_mean.hex() == grand_mean
         assert result.std_error.hex() == std_error
         assert result.virtual_time.hex() == virtual_time
@@ -655,19 +653,11 @@ class TestDeterminismAndAggregation:
             config = SimConfig(
                 n=3, policy=policy, model=ShiftedExponential(1, 0), updates=2_000, seed=32
             )
-            results.append(simulate(config))
+            results.append(replicate(config))
         assert results[0].grand_mean == results[1].grand_mean == results[2].grand_mean
         np.testing.assert_array_equal(
             results[0].per_node_avg_age, results[2].per_node_avg_age
         )
-
-    def test_single_replication_equals_simulate(self):
-        config = SimConfig(
-            n=3, policy=EarliestK(1), model=ShiftedExponential(1, 0), updates=2_000, seed=33
-        )
-        a, b = simulate(config), replicate(config)
-        np.testing.assert_array_equal(a.per_node_avg_age, b.per_node_avg_age)
-        assert a.grand_mean == b.grand_mean
 
     def test_replication_error_scaling(self):
         base = dict(
@@ -685,7 +675,7 @@ class TestDeterminismAndAggregation:
         config = SimConfig(
             n=5, policy=EarliestK(2), model=ShiftedExponential(1, 1), updates=3_000, seed=35
         )
-        result = simulate(config)
+        result = replicate(config)
         assert result.grand_mean == pytest.approx(float(result.per_node_avg_age.mean()))
         assert np.all(result.per_node_avg_age >= 1.0)  # at least the delay floor
         assert np.all((result.delivery_fraction >= 0) & (result.delivery_fraction <= 1))
@@ -696,7 +686,7 @@ class TestDeterminismAndAggregation:
                 n=5, policy=EarliestK(2), model=ShiftedExponential(1, 0),
                 updates=updates, seed=36,
             )
-            ages = simulate(config).per_node_avg_age
+            ages = replicate(config).per_node_avg_age
             return float(ages.max() - ages.min())
 
         assert spread(200_000) < spread(2_000)
@@ -713,7 +703,7 @@ class TestFailureModes:
             seed=41,
         )
         with pytest.raises(SimulationError):
-            simulate(config)
+            replicate(config)
 
     def test_config_validation(self):
         model = ShiftedExponential(1, 0)
