@@ -233,7 +233,15 @@ class TestAccumulateDelivery:
 
 
 def reference_simulate(config):
-    """Scalar re-implementation of the engine from the public primitives."""
+    """Scalar re-implementation of the engine from the public primitives.
+
+    Returns the per-node averages, the delivery fractions, the virtual time
+    and the batch means: the measured updates fall into
+    ``max(1, min(32, updates // 50))`` batches of consecutive rounds, the
+    first ``updates % batches`` of them one round longer, and each delivery
+    is credited to the batch of its round.  A batch mean is the batch's
+    area over its span, both summed over all nodes.
+    """
     n = config.n
     delay_stream = RandomStream(config.seed, 0)
     group_stream = RandomStream(config.seed, 1)
@@ -245,6 +253,11 @@ def reference_simulate(config):
     delays = config.model.sample(delay_stream, (total, n))
     states = [NodeAgeState() for _ in range(n)]
     counts = np.zeros(n, dtype=int)
+    batches = max(1, min(32, config.updates // 50))
+    base, extra = divmod(config.updates, batches)
+    batch_of_round = np.repeat(np.arange(batches), [base + (b < extra) for b in range(batches)])
+    batch_area = np.zeros(batches)
+    batch_span = np.zeros(batches)
     t = 0.0
     virtual = 0.0
     for j in range(total):
@@ -257,13 +270,23 @@ def reference_simulate(config):
             config.policy, delays[j], group_stream=group_stream, group=fixed_group
         )
         for i in delivered:
+            area, span = states[i].area, states[i].observed_span
             accumulate_delivery(states[i], t + delays[j, i], t)
             counts[i] += 1
+            if j >= config.warmup:
+                b = batch_of_round[j - config.warmup]
+                batch_area[b] += states[i].area - area
+                batch_span[b] += states[i].observed_span - span
         t += y
         if j >= config.warmup:
             virtual += y
     per_node = np.array([s.area / s.observed_span for s in states])
-    return per_node, counts / config.updates, virtual
+    batch_means = batch_area[batch_span > 0] / batch_span[batch_span > 0]
+    return per_node, counts / config.updates, virtual, batch_means
+
+
+def batch_std_error(batch_means):
+    return float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
 
 
 class TestEngineMatchesScalarReference:
@@ -293,10 +316,12 @@ class TestEngineMatchesScalarReference:
             seed=97,
         )
         result = replicate(config)
-        per_node, fraction, virtual = reference_simulate(config)
+        per_node, fraction, virtual, batch_means = reference_simulate(config)
         np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
         np.testing.assert_array_equal(result.delivery_fraction, fraction)
         assert result.virtual_time == pytest.approx(virtual, rel=1e-12)
+        assert len(batch_means) == 8
+        assert result.std_error == pytest.approx(batch_std_error(batch_means), rel=1e-9)
 
     def test_zero_warmup_boundary(self):
         config = SimConfig(
@@ -308,8 +333,11 @@ class TestEngineMatchesScalarReference:
             seed=5,
         )
         result = replicate(config)
-        per_node, _, _ = reference_simulate(config)
+        per_node, _, _, batch_means = reference_simulate(config)
         np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
+        # 250 updates: 5 batches of 50 rounds
+        assert len(batch_means) == 5
+        assert result.std_error == pytest.approx(batch_std_error(batch_means), rel=1e-9)
 
 
 def drive_engine(policy, model, n, chunk_rounds, seed, reuse, every_node=False):
