@@ -56,4 +56,4 @@ from .simulator import (
     run_rounds,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"

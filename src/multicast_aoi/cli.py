@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -265,6 +266,9 @@ def _simulate(args) -> int:
     )
     result = replicate(config)
     row = sweep_row(scheme, model, args.n, k, result)
+    if args.regroup == "fixed" and k < args.n:
+        # Both analytic ages describe per-update regrouping, another process.
+        row = dataclasses.replace(row, exact_age=None, approx_age=None)
     echo = {
         "scheme": args.scheme,
         "model": model.label(),
@@ -393,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--regroup", choices=("per-update", "fixed"), default=None,
                    help="pre-selected-k only: redraw the group per update (default) "
-                   "or keep one")
+                   "or keep one; a kept group of k < n shows no exact or approximate "
+                   "age, since both describe per-update regrouping")
 
     p = command("optimize", _optimize, "age-minimizing stopping threshold")
     _add_model_flags(p)

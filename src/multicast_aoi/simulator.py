@@ -24,6 +24,13 @@ delivery, the state that the measured rounds start from.  Each run keeps
 one workspace of flat buffers that every block reuses: the delays are
 drawn into it, and resolution and accumulation work in it in place, so
 that a block costs no fresh pages.
+
+A run is one loop over a chunk list (the warmup, then each batch of
+measured rounds, each cut at ``chunk_rounds``) that adds each slice's area
+and span and each chunk's duration into per-batch vectors.  The list fixes
+the random stream: a hyper-exponential call draws all its component
+uniforms before its values, and ``t_prev``'s rounding depends on where each
+chunk starts; so changing the list is a named stream change.
 """
 
 from __future__ import annotations
@@ -270,8 +277,8 @@ class SimConfig:
 class SimResult:
     """Outcome of a simulation: per-node averages plus run bookkeeping.
 
-    ``std_error`` comes from batch means for a single run and from the
-    spread of replication grand means when aggregated.
+    ``std_error`` comes from the batch means of a single run (per-batch sums
+    of area over span) and from replication grand means when aggregated.
     """
 
     per_node_avg_age: np.ndarray
@@ -292,7 +299,7 @@ def _accumulate_block(
     span: np.ndarray,
     count: np.ndarray,
     ws: _Workspace,
-) -> None:
+) -> tuple[float, float]:
     """Credit every delivery of a block of rounds to its node's sawtooth area.
 
     A delivery after a gap ``g`` since the node's previous one, whose age
@@ -313,7 +320,8 @@ def _accumulate_block(
     differ from a one-by-one accumulation in its last bits; spans, counts
     and the last delivery are exact.  The block-sized arrays are buffers of
     ``ws``; only the index of the deliveries is allocated anew
-    (``np.flatnonzero`` takes no ``out``).
+    (``np.flatnonzero`` takes no ``out``).  Returns the area and the span
+    that the block added, summed over all nodes.
     """
     rounds, n = delays.shape
     node_major = ws.array("node_major", (n, rounds))
@@ -354,11 +362,14 @@ def _accumulate_block(
     np.multiply(0.5, g, out=delay)
     np.multiply(delay, g, out=delay)
     np.add(term, delay, out=term)
-    area[hit] += np.add.reduceat(term, first)
-    span[hit] += wall[last] - last_wall[hit]
+    added_area = np.add.reduceat(term, first)
+    added_span = wall[last] - last_wall[hit]
+    area[hit] += added_area
+    span[hit] += added_span
     count += per_node
     last_wall[hit] = wall[last]
     last_gen[hit] = gen
+    return float(added_area.sum()), float(added_span.sum())
 
 
 def _keep_last_deliveries(
@@ -392,10 +403,7 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     if isinstance(policy, PreSelectedK) and policy.regroup == "fixed" and policy.k < n:
         fixed_group = group_stream.generator.permuted(np.arange(n))[: policy.k]
 
-    last_wall = np.zeros(n)
-    last_gen = np.zeros(n)
-    area = np.zeros(n)
-    span = np.zeros(n)
+    last_wall, last_gen, area, span = np.zeros((4, n))
     count = np.zeros(n, dtype=np.int64)
     t = 0.0
     ws = _Workspace()
@@ -403,45 +411,36 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     slice_rounds = max(1, _SLICE_ELEMENTS // n)
 
     every_node = _policy_threshold(policy, n) == n
-
-    def consume(rounds: int, account: bool = True) -> float:
-        nonlocal t
-        elapsed = 0.0
-        done = 0
-        while done < rounds:
-            r = min(chunk_rounds, rounds - done)
-            delays = model.sample(delay_stream, out=ws.array("delays", (r, n)))
-            y, delivered = run_rounds(
-                policy, delays, group_stream=group_stream, group=fixed_group, workspace=ws
-            )
-            cs = np.cumsum(y)
-            t_prev = t + np.concatenate(([0.0], cs[:-1]))
-            if not account:
-                _keep_last_deliveries(t_prev, delays, delivered, last_wall, last_gen)
-            else:
-                for first in range(0, r, slice_rounds):
-                    rows = slice(first, first + slice_rounds)
-                    _accumulate_block(
-                        t_prev[rows], delays[rows], None if every_node else delivered[rows],
-                        last_wall, last_gen, area, span, count, ws,
-                    )
-            t += float(cs[-1])
-            elapsed += float(cs[-1])
-            done += r
-        return elapsed
-
-    consume(config.warmup, account=False)
-
     batches = max(1, min(_MAX_BATCHES, config.updates // 50))
     base, extra = divmod(config.updates, batches)
-    batch_means = []
-    virtual_time = 0.0
-    for b in range(batches):
-        a0, s0 = float(area.sum()), float(span.sum())
-        virtual_time += consume(base + (1 if b < extra else 0))
-        da, ds = float(area.sum()) - a0, float(span.sum()) - s0
-        if ds > 0.0:
-            batch_means.append(da / ds)
+    # (batch, rounds) of every chunk: the warmup as batch -1, then each batch,
+    # each cut into pieces of at most chunk_rounds.
+    lengths = [config.warmup] + [base + (b < extra) for b in range(batches)]
+    chunks = [(b, min(chunk_rounds, rounds - done))
+              for b, rounds in enumerate(lengths, -1)
+              for done in range(0, rounds, chunk_rounds)]
+    batch_area, batch_span, batch_time = np.zeros((3, batches))
+
+    for b, r in chunks:
+        delays = model.sample(delay_stream, out=ws.array("delays", (r, n)))
+        y, delivered = run_rounds(
+            policy, delays, group_stream=group_stream, group=fixed_group, workspace=ws
+        )
+        cs = np.cumsum(y)
+        t_prev = t + np.concatenate(([0.0], cs[:-1]))
+        if b < 0:
+            _keep_last_deliveries(t_prev, delays, delivered, last_wall, last_gen)
+        else:
+            for first in range(0, r, slice_rounds):
+                rows = slice(first, first + slice_rounds)
+                added_area, added_span = _accumulate_block(
+                    t_prev[rows], delays[rows], None if every_node else delivered[rows],
+                    last_wall, last_gen, area, span, count, ws,
+                )
+                batch_area[b] += added_area
+                batch_span[b] += added_span
+            batch_time[b] += float(cs[-1])
+        t += float(cs[-1])
 
     starved = np.flatnonzero((count == 0) | (span <= 0.0))
     if starved.size:
@@ -451,15 +450,15 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
         )
 
     per_node = area / span
-    if len(batch_means) >= 2:
-        std_error = float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
-    else:
-        std_error = float("nan")
+    batch_means = batch_area[batch_span > 0.0] / batch_span[batch_span > 0.0]
+    std_error = (float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
+                 if len(batch_means) >= 2 else float("nan"))
     return SimResult(
         per_node_avg_age=per_node,
         grand_mean=float(per_node.mean()),
         std_error=std_error,
-        virtual_time=virtual_time,
+        # accumulate adds in order, as the batches were run; a sum would not
+        virtual_time=float(np.add.accumulate(batch_time)[-1]),
         rounds=config.updates,
         delivery_fraction=count / config.updates,
     )

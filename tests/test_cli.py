@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from multicast_aoi import cli
+from multicast_aoi import age_wait_for_all, cli
 from multicast_aoi.cli import main
 
 
@@ -299,6 +299,26 @@ class TestSimulate:
         assert code == 0
         assert run_cli(args + ["--regroup", "per-update"], capsys) == (0, out, "")
         assert run_cli(args + ["--regroup", "fixed"], capsys)[1] != out
+
+    FIXED = ["simulate", "--scheme", "pre-selected-k", "--lambda", "1", "--shift", "1",
+             "--n", "10", "--updates", "2000", "--seed", "1", "--regroup", "fixed"]
+
+    def test_fixed_group_shows_no_per_update_age(self, capsys):
+        # the per-update exact age, 3.86364 at k = 2, lies well below a kept
+        # group's simulated age (3.896 +- 0.002 at 200 000 updates)
+        args = self.FIXED + ["--k", "2"]
+        payload = json.loads(run_cli(args + ["--format", "json"], capsys)[1])
+        assert payload["exact_age"] is None and payload["approx_age"] is None
+        (row,) = csv.DictReader(io.StringIO(run_cli(args + ["--format", "csv"], capsys)[1]))
+        assert row["exact_age"] == "" and row["approx_age"] == ""
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and "grand mean age" in out
+        assert "exact age" not in out and "approximate age" not in out
+
+    def test_fixed_group_of_all_nodes_keeps_its_exact_age(self, capsys):
+        # with k = n every node is a member, as in wait-for-all
+        payload = json.loads(run_cli(self.FIXED + ["--k", "10", "--format", "json"], capsys)[1])
+        assert payload["exact_age"] == pytest.approx(age_wait_for_all(1.0, 1.0, 10).total)
 
     def test_starved_nodes_are_an_argument_error(self, capsys):
         # 100 rounds of earliest-1 among 100 nodes leave some node without an update

@@ -10,13 +10,18 @@ on x86-64 with numpy 2.4), like the pinned bits in ``test_simulator.py``.
 To record the files again, after a change that moves an output on purpose
 and names it in CHANGES.md::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+re-records the named cases (every case when no name is given), rejects an
+unknown name before it writes anything, and prints the path of every file
+whose bytes changed.
 """
 
 import argparse
 import contextlib
 import io
 import pathlib
+import sys
 
 import pytest
 
@@ -127,6 +132,14 @@ def test_output_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {' '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN_DIR / f"{name}.txt").write_bytes(_run(argv).encode())
+    for name in names:
+        path = GOLDEN_DIR / f"{name}.txt"
+        recorded = _run(CASES[name]).encode()
+        if not path.exists() or path.read_bytes() != recorded:
+            path.write_bytes(recorded)
+            print(path)
