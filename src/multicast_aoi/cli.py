@@ -6,12 +6,14 @@ with one column per field, or the flattened results), and the human
 format writes labelled lines that the command holds as data.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 argument error
-(including a simulation too short to give every node an update).
+(including a simulation too short to give every node an update, and an
+``--output`` path that cannot be opened, which is opened before any work).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -155,11 +157,7 @@ def _emit(args, record, csv_table, human=None) -> None:
         text = csv_text(*csv_table)
     else:
         text = "".join(line + "\n" for line in human)
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.stream.write(text)
 
 
 def _seed(args) -> int:
@@ -380,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, handler, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("human", "csv", "json"), default="human")
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
+        p.add_argument("--output", default=None,
+                       help="write to this path instead of stdout (created or emptied first)")
         p.set_defaults(handler=handler)
         return p
 
@@ -427,11 +426,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except (_CliError, ValueError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.output:
+        try:
+            stream = open(args.output, "w", newline="")
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
+    else:
+        stream = contextlib.nullcontext(sys.stdout)
+    with stream as args.stream:
+        try:
+            return args.handler(args)
+        except (_CliError, ValueError, SimulationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -320,6 +320,8 @@ def run_validation(
     the exact formula.  ``exact_age_fn`` can replace the analytic side,
     which lets the harness itself be mutation-tested.
     """
+    if not z_threshold > 0:
+        raise ValueError(f"z threshold must be positive, got {z_threshold}")
     points = [
         (ShiftedExponential(lam, shift), scheme, n, k)
         for lam, shift in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0))

@@ -10,27 +10,34 @@ the accumulated sawtooth area divided by the observed span.
 The engine advances whole blocks of rounds with vectorized numpy and is
 deterministic given ``(seed, replication index)`` for a given package
 version.  Per block it samples the delays, resolves every round at once
-and credits all deliveries in one pass over a node-major flat array,
-with no loop over nodes.  Earliest-k and per-update pre-selected rounds
-share one resolve: a sorted copy of each row, from which earliest-k
-reads its k-th smallest delay, and pre-selected the delay of its group's
-slowest member, whose rank is drawn without ever drawing the group (see
-:func:`run_rounds`).  When the policy waits for all n nodes, the
-node-major copy of a block is already in delivery order, and the pass
-credits it without picking deliveries out of the mask.  Warmup rounds
-are sampled and resolved like the others, so the random streams advance
-alike, but their sawtooth is not accounted: each node keeps only its last
-delivery, the state that the measured rounds start from.  Each run keeps
-one workspace of flat buffers that every block reuses: the delays are
-drawn into it, and resolution and accumulation work in it in place, so
-that a block costs no fresh pages.
+and credits the rounds slice by slice, with no loop over nodes.
+Earliest-k and per-update pre-selected rounds share one resolve: a sorted
+copy of each row, from which earliest-k reads its k-th smallest delay, and
+pre-selected the delay of its group's slowest member, whose rank is drawn
+without ever drawing the group (see :func:`run_rounds`).  A slice is
+credited on one of two paths, chosen by the share of its (round, node)
+pairs that miss the update.  With few misses, as when the policy waits for
+all n nodes or for a pre-selected group of most of them, each node's age
+integral over the slice is one matrix-vector product of the round
+durations with the delays, plus one correction per miss.  Otherwise the
+deliveries are picked out of a node-major copy of the slice into one flat
+array and credited as trapezoids between consecutive deliveries of a
+node.  Both paths leave the same state, up to the rounding of the area
+(see :func:`_accumulate_block`).  Warmup rounds are sampled and resolved
+like the others, so the random streams advance alike, but their sawtooth
+is not accounted: each node keeps only its last delivery, the state that
+the measured rounds start from.  Each run keeps one workspace of flat
+buffers that every block reuses: the delays are drawn into it, and
+resolution and accumulation work in it in place, so that a block costs
+no fresh pages.
 
 A run is one loop over a chunk list (the warmup, then each batch of
 measured rounds, each cut at ``chunk_rounds``) that adds each slice's area
 and span and each chunk's duration into per-batch vectors.  The list fixes
 the random stream: a hyper-exponential call draws all its component
-uniforms before its values, and ``t_prev``'s rounding depends on where each
-chunk starts; so changing the list is a named stream change.
+uniforms before its values, and the rounding of the round start times
+``t_edges`` depends on where each chunk starts; so changing the list is a
+named stream change.
 """
 
 from __future__ import annotations
@@ -66,6 +73,13 @@ _CHUNK_ELEMENTS = 4_000_000
 # (The 1.6-2x once seen for wait-for-all at 2**18 came from the page faults
 # of fresh allocations in every slice.)
 _SLICE_ELEMENTS = 1 << 15
+# A slice in which at most this share of the (round, node) pairs miss the
+# update is credited round by round, any other by its deliveries.  Same VM,
+# best of nine alternating passes over 6 000 rounds per case: at 0.35% misses
+# (pre-selected 73 of 100) the round-by-round path took 2.8 ns per pair and
+# the deliveries 6.7; the two cost the same at about 6% misses for n = 100,
+# 5% for n = 20 and n = 200, and 9% for n = 1000.
+_DENSE_MISS_SHARE = 1 / 16
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 _MAX_BATCHES = 32
 
@@ -290,7 +304,8 @@ class SimResult:
 
 
 def _accumulate_block(
-    t_prev: np.ndarray,
+    t_edges: np.ndarray,
+    y: np.ndarray,
     delays: np.ndarray,
     delivered: Optional[np.ndarray],
     last_wall: np.ndarray,
@@ -300,54 +315,137 @@ def _accumulate_block(
     count: np.ndarray,
     ws: _Workspace,
 ) -> tuple[float, float]:
-    """Credit every delivery of a block of rounds to its node's sawtooth area.
+    """Credit a slice of rounds to each node's sawtooth area, span and count.
+
+    Round j starts (and generates its update) at ``t_edges[j]`` and lasts
+    ``y[j]``; the slice ends at ``t_edges[-1]``, the float at which the next
+    slice starts.  Node i receives round j's update at
+    ``t_edges[j] + delays[j, i]`` when ``delivered[j, i]``, or in every round
+    when ``delivered`` is None (a policy that waits for all n nodes); every
+    round delivers to at least one node.  The area and span a node gains are
+    those between its last delivery before the slice (``last_wall``, of the
+    update generated at ``last_gen``) and its last delivery in it, which
+    becomes the new ``last_wall``/``last_gen``; a node with no delivery in
+    the slice keeps its state.  Returns the area and the span that the slice
+    added, summed over all nodes.
+
+    Two paths give the same result, up to the rounding of the area: spans,
+    counts and the last deliveries are the same floats on both.  A slice in
+    which at most ``_DENSE_MISS_SHARE`` of its (round, node) pairs miss the
+    update is credited round by round (:func:`_credit_rounds`); any other
+    slice by its deliveries (:func:`_credit_deliveries`).  ``delivered``
+    None, and a mask with no miss, take the first path alike.
+    """
+    if delivered is None:
+        misses = 0
+    else:
+        misses = delivered.size - np.count_nonzero(delivered)
+        if misses > _DENSE_MISS_SHARE * delivered.size:
+            return _credit_deliveries(t_edges[:-1], delays, delivered, last_wall, last_gen,
+                                      area, span, count, ws)
+    return _credit_rounds(t_edges, y, delays, delivered if misses else None, last_wall,
+                          last_gen, area, span, count, ws)
+
+
+def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws):
+    """The dense path of :func:`_accumulate_block`: a slice with few misses.
+
+    Over round j, node i's age starts at ``A[j, i]`` and grows at slope one
+    for ``e[j, i] = min(delays[j, i], y[j])``, until the update arrives or
+    the round ends; after an arrival it is the time since ``t_edges[j]``.
+    So the round adds ``A[j, i]*e[j, i] + y[j]**2/2`` to the integral of the
+    node's age over the slice, and ``e`` does not depend on how ties were
+    broken.  ``A[0]`` is ``t_edges[0] - last_gen``; ``A[j]`` is ``y[j-1]``
+    after a delivery in round j-1 and ``y[j-1] + A[j-1]`` after a miss.
+    With no miss (``delivered`` None), ``e`` is ``delays`` and the integral
+    is ``A[0]*delays[0]``, plus one matrix-vector product
+    ``sum_j y[j-1]*delays[j]``, plus ``sum_j y[j]**2/2``.  Each miss (i, m)
+    then corrects two terms: round m grows for ``y[m]`` instead of
+    ``delays[m, i]``, and round m+1 starts ``A[m, i]`` older.  Head and tail
+    terms turn the integral over ``[t_edges[0], t_edges[-1]]`` into the
+    area between a node's last delivery before the slice and its last in
+    it.  The product is einsum's own loop, not BLAS, whose threads could
+    make the bits depend on the thread count.
+    """
+    rounds, n = delays.shape
+    t_start, t_end = t_edges[0], t_edges[-1]
+    first_age = t_start - last_gen
+    integral = np.einsum("j,ji->i", y[:-1], delays[1:])
+    integral += first_age * delays[0]
+    integral += 0.5 * np.einsum("j,j->", y, y)
+    if delivered is None:
+        count += rounds
+        hit = slice(None)
+        gen, delay = t_edges[-2], delays[-1]
+    else:
+        miss = np.flatnonzero(np.logical_not(delivered, out=ws.array("miss", (rounds, n), bool)))
+        j, i = np.divmod(miss, n)
+        # The misses node by node, each node's in round order.
+        order = np.argsort(i * rounds + j)
+        miss, j, i = miss[order], j[order], i[order]
+        count += rounds - np.bincount(i, minlength=n)
+        # The first round of the run of consecutive misses that holds each miss.
+        starts = np.ones(miss.size, bool)
+        np.not_equal(miss[1:], miss[:-1] + n, out=starts[1:])
+        run = j[np.maximum.accumulate(np.where(starts, np.arange(miss.size), 0))]
+        # A[m, i] is the time since the generation of the update the node
+        # still holds; a miss in the last round carries it on through
+        # last_gen, so its round m+1 term is 0.
+        opening_age = first_age[i]
+        elapsed = np.concatenate(([0.0], np.cumsum(y)))
+        age = elapsed[j] - np.where(run > 0, elapsed[run - 1], -opening_age)
+        assumed = np.where(j > 0, y[j - 1], opening_age)
+        grow = np.minimum(delays.take(miss + n, mode="clip"), np.append(y, 0.0)[j + 1])
+        term = assumed * (y[j] - delays.take(miss)) + age * grow
+        integral += np.bincount(i, term, minlength=n)
+        # The row of each node's last delivery in the slice, -1 for none.
+        row = np.full(n, rounds - 1)
+        at_end = j == rounds - 1
+        row[i[at_end]] = run[at_end] - 1
+        hit = np.flatnonzero(row >= 0)
+        gen, delay = t_edges[row[hit]], delays[row[hit], hit]
+    wall = gen + delay
+    head = t_start - last_wall[hit]
+    tail = t_end - wall
+    added_area = (integral[hit] + head * (last_wall[hit] - last_gen[hit] + 0.5 * head)
+                  - tail * (delay + 0.5 * tail))
+    added_span = wall - last_wall[hit]
+    area[hit] += added_area
+    span[hit] += added_span
+    last_wall[hit] = wall
+    last_gen[hit] = gen
+    return float(added_area.sum()), float(added_span.sum())
+
+
+def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, area, span, count, ws):
+    """The sparse path of :func:`_accumulate_block`: a slice with many misses.
 
     A delivery after a gap ``g`` since the node's previous one, whose age
     right after that previous delivery was ``a0``, adds the trapezoid
-    ``a0*g + g**2/2`` to the node's area and ``g`` to its span.
-    Round j starts (and generates its update) at ``t_prev[j]``; node i
-    receives it at ``t_prev[j] + delays[j, i]`` when ``delivered[j, i]``,
-    or in every round when ``delivered`` is None (a policy that waits for
-    all n nodes); every round delivers to at least one node.  All
-    deliveries of the block are laid out in one flat array, node by node
-    and in round order within a node, so that each delivery's predecessor
-    is the previous element; only the first delivery of each node takes its
-    predecessor from ``last_wall``/``last_gen``.  When every node receives
-    every round, that array is the node-major copy of the block itself and
-    node i's deliveries start at ``i*rounds``; otherwise the mask picks the
-    deliveries out of it.  The per-node area is the sum of the same
-    trapezoid terms, taken in another order than one by one, so it may
-    differ from a one-by-one accumulation in its last bits; spans, counts
-    and the last delivery are exact.  The block-sized arrays are buffers of
-    ``ws``; only the index of the deliveries is allocated anew
-    (``np.flatnonzero`` takes no ``out``).  Returns the area and the span
-    that the block added, summed over all nodes.
+    ``a0*g + g**2/2`` to the node's area and ``g`` to its span.  All
+    deliveries of the slice are picked out of its node-major copy into one
+    flat array, node by node and in round order within a node, so that each
+    delivery's predecessor is the previous element; only the first delivery
+    of each node takes its predecessor from ``last_wall``/``last_gen``.  The
+    slice-sized arrays are buffers of ``ws``; only the index of the
+    deliveries is allocated anew (``np.flatnonzero`` takes no ``out``).
     """
     rounds, n = delays.shape
     node_major = ws.array("node_major", (n, rounds))
     np.copyto(node_major, delays.T)
-    if delivered is None:
-        per_node = rounds
-        hit = slice(None)
-        first = np.arange(0, n * rounds, rounds)
-        last = first + (rounds - 1)
-        delay = node_major.reshape(-1)
-        wall = np.add(node_major, t_prev, out=ws.array("wall", (n, rounds))).reshape(-1)
-        gen = t_prev[-1]
-    else:
-        mask = ws.array("node_mask", (n, rounds), bool)
-        np.copyto(mask, delivered.T)
-        delivery = np.flatnonzero(mask)
-        # Where each node's deliveries start in the delivery index.
-        bounds = np.searchsorted(delivery, np.arange(0, n * rounds + 1, rounds))
-        per_node = np.diff(bounds)
-        hit = np.flatnonzero(per_node)
-        first, last = bounds[hit], bounds[hit + 1] - 1
-        delay = np.take(node_major, delivery, out=ws.array("delay", delivery.shape), mode="clip")
-        node_major[...] = t_prev
-        wall = np.take(node_major, delivery, out=ws.array("wall", delivery.shape), mode="clip")
-        gen = wall[last]
-        np.add(wall, delay, out=wall)
+    mask = ws.array("node_mask", (n, rounds), bool)
+    np.copyto(mask, delivered.T)
+    delivery = np.flatnonzero(mask)
+    # Where each node's deliveries start in the delivery index.
+    bounds = np.searchsorted(delivery, np.arange(0, n * rounds + 1, rounds))
+    per_node = np.diff(bounds)
+    hit = np.flatnonzero(per_node)
+    first, last = bounds[hit], bounds[hit + 1] - 1
+    delay = np.take(node_major, delivery, out=ws.array("delay", delivery.shape), mode="clip")
+    node_major[...] = t_prev
+    wall = np.take(node_major, delivery, out=ws.array("wall", delivery.shape), mode="clip")
+    gen = wall[last]
+    np.add(wall, delay, out=wall)
     total = wall.size
     # g is the gap since each delivery's predecessor; the age right after
     # the predecessor is the predecessor's own delay.
@@ -427,14 +525,16 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
             policy, delays, group_stream=group_stream, group=fixed_group, workspace=ws
         )
         cs = np.cumsum(y)
-        t_prev = t + np.concatenate(([0.0], cs[:-1]))
+        # Start of each round, then the end of the chunk.
+        t_edges = t + np.concatenate(([0.0], cs))
         if b < 0:
-            _keep_last_deliveries(t_prev, delays, delivered, last_wall, last_gen)
+            _keep_last_deliveries(t_edges[:-1], delays, delivered, last_wall, last_gen)
         else:
             for first in range(0, r, slice_rounds):
                 rows = slice(first, first + slice_rounds)
                 added_area, added_span = _accumulate_block(
-                    t_prev[rows], delays[rows], None if every_node else delivered[rows],
+                    t_edges[first:first + slice_rounds + 1], y[rows], delays[rows],
+                    None if every_node else delivered[rows],
                     last_wall, last_gen, area, span, count, ws,
                 )
                 batch_area[b] += added_area

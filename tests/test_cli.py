@@ -465,3 +465,23 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("z", ["nan", "-1", "0"])
+    def test_validate_rejects_threshold_before_simulating(self, capsys, monkeypatch, z):
+        # a NaN threshold once failed every cell and exited 1 after the whole grid
+        monkeypatch.setattr("multicast_aoi.experiments.run_sweep",
+                            lambda *args, **kwargs: pytest.fail("simulated"))
+        code, out, err = run_cli(["validate", "--rounds", "200", "--z", z], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_rejected_before_simulating(self, capsys, monkeypatch, tmp_path):
+        # once a FileNotFoundError traceback (exit 1) after the simulation
+        monkeypatch.setattr(cli, "replicate", lambda config: pytest.fail("simulated"))
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(
+            ["simulate", "--scheme", "wait-for-all", "--lambda", "1", "--n", "3",
+             "--updates", "200", "--output", str(path)], capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --output {path}: ") and err.count("\n") == 1

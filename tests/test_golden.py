@@ -14,13 +14,16 @@ and names it in CHANGES.md::
 
 re-records the named cases (every case when no name is given), rejects an
 unknown name before it writes anything, and prints the path of every file
-whose bytes changed.
+whose bytes changed, followed by the largest relative difference between
+its old and new numbers, or by "text changed" when the text around the
+numbers differs (a rounding-only change shows a small difference).
 """
 
 import argparse
 import contextlib
 import io
 import pathlib
+import re
 import sys
 
 import pytest
@@ -98,6 +101,23 @@ CASES = {
 }
 
 
+# A number, unless it is part of a word such as "fig4".
+_NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def numeric_change(old: str, new: str) -> str:
+    """How ``new`` differs from ``old``: the largest relative difference of
+    their numbers, or "text changed" when anything but the numbers differs."""
+    old_parts, new_parts = _NUMBER.split(old), _NUMBER.split(new)
+    if len(old_parts) != len(new_parts) or old_parts[::2] != new_parts[::2]:
+        return "text changed"
+    largest = 0.0
+    for a, b in zip(map(float, old_parts[1::2]), map(float, new_parts[1::2])):
+        if a != b:
+            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return f"largest relative difference {largest:.3g}"
+
+
 def _run(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -125,6 +145,18 @@ def test_every_command_and_format_has_a_case():
     assert not missing
 
 
+def test_numeric_change_tells_rounding_from_text():
+    old = "n,age\n20,3.75,1e-05\nfig4\n"
+    assert numeric_change(old, old) == "largest relative difference 0"
+    assert numeric_change(old, old.replace("3.75", "3.7500000000000004")) == (
+        "largest relative difference 1.18e-16"
+    )
+    assert numeric_change(old, old.replace("1e-05", "2e-05")) == "largest relative difference 0.5"
+    assert numeric_change(old, old.replace("fig4", "fig5")) == "text changed"
+    assert numeric_change(old, old.replace("age", "mean")) == "text changed"
+    assert numeric_change(old, old + "21,3.5\n") == "text changed"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
     golden = (GOLDEN_DIR / f"{name}.txt").read_bytes()
@@ -140,6 +172,10 @@ if __name__ == "__main__":
     for name in names:
         path = GOLDEN_DIR / f"{name}.txt"
         recorded = _run(CASES[name]).encode()
-        if not path.exists() or path.read_bytes() != recorded:
+        if not path.exists():
             path.write_bytes(recorded)
-            print(path)
+            print(path, "new file")
+        elif path.read_bytes() != recorded:
+            change = numeric_change(path.read_text(), recorded.decode())
+            path.write_bytes(recorded)
+            print(path, change)

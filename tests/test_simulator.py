@@ -24,6 +24,7 @@ from multicast_aoi import (
     replicate,
     run_rounds,
 )
+from multicast_aoi import simulator
 from multicast_aoi.simulator import (
     _SLICE_ELEMENTS,
     _Workspace,
@@ -339,6 +340,120 @@ class TestEngineMatchesScalarReference:
         assert len(batch_means) == 5
         assert result.std_error == pytest.approx(batch_std_error(batch_means), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "policy, n, paths",
+        [
+            (WaitForAll(), 3, {"rounds"}),
+            (EarliestK(1), 3, {"deliveries"}),
+            # one miss per round: 3 in a 3-round slice of 20 nodes, below 1/16
+            (EarliestK(19), 20, {"rounds"}),
+            # misses in about 4.5% of the pairs, 2.7 per 3-round slice on
+            # average, against 3.75 at the threshold
+            (PreSelectedK(10), 20, {"rounds", "deliveries"}),
+            (PreSelectedK(10, regroup="fixed"), 20, {"rounds", "deliveries"}),
+        ],
+        ids=["wait_for_all", "earliest1_of_3", "earliest19_of_20", "preselected10_of_20",
+             "preselected10_of_20_fixed"],
+    )
+    def test_batches_spanning_slices(self, monkeypatch, policy, n, paths):
+        # 64-element slices: every batch of 50 rounds spans several slices,
+        # each credited by the path its misses call for
+        monkeypatch.setattr(simulator, "_SLICE_ELEMENTS", 64)
+        taken = []
+
+        def spy(name, slice_rounds):
+            original = getattr(simulator, name)
+
+            def credit(*args):
+                taken.append((name, slice_rounds(args)))
+                return original(*args)
+
+            monkeypatch.setattr(simulator, name, credit)
+
+        spy("_credit_rounds", lambda args: len(args[1]))
+        spy("_credit_deliveries", lambda args: len(args[0]))
+        config = SimConfig(
+            n=n, policy=policy, model=ShiftedExponential(1.3, 0.4), updates=400, warmup=25,
+            seed=97,
+        )
+        result = replicate(config)
+        per_node, fraction, virtual, batch_means = reference_simulate(config)
+        np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
+        np.testing.assert_array_equal(result.delivery_fraction, fraction)
+        assert result.virtual_time == pytest.approx(virtual, rel=1e-12)
+        assert len(batch_means) == 8
+        assert result.std_error == pytest.approx(batch_std_error(batch_means), rel=1e-9)
+        # the paths each batch of 50 rounds took
+        batches, done = [], 0
+        for name, rounds in taken:
+            if done % 50 == 0:
+                batches.append(set())
+            batches[-1].add(name.removeprefix("_credit_"))
+            done += rounds
+        assert done == 400 and len(batches) == 8
+        assert set().union(*batches) == paths
+        assert any(batch == paths for batch in batches)
+
+
+def credit_slices(share, t0, y, delays, delivered, cuts, last_wall, last_gen):
+    """Per-node state after crediting the rounds, cut into slices at ``cuts``,
+    with ``_DENSE_MISS_SHARE`` set to ``share``; plus the returned sums."""
+    last_wall, last_gen = last_wall.copy(), last_gen.copy()
+    area, span = np.zeros((2, delays.shape[1]))
+    count = np.zeros(delays.shape[1], dtype=np.int64)
+    t_edges = t0 + np.concatenate(([0.0], np.cumsum(y)))
+    sums = []
+    bounds = [0, *cuts, len(y)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_DENSE_MISS_SHARE", share)
+        for first, stop in zip(bounds[:-1], bounds[1:]):
+            sums.append(_accumulate_block(
+                t_edges[first:stop + 1], y[first:stop], delays[first:stop],
+                delivered[first:stop], last_wall, last_gen, area, span, count, _Workspace(),
+            ))
+    return area, span, count, last_wall, last_gen, np.array(sums)
+
+
+class TestAccumulationPaths:
+    """Crediting a slice round by round and by its deliveries agree."""
+
+    @pytest.mark.parametrize(
+        "policy, rows, cuts",
+        [
+            # integer delays: rows tie at y, inside and outside the k first
+            (EarliestK(2), [[1, 1, 2, 0], [2, 2, 2, 2], [0, 1, 1, 1], [3, 1, 3, 3],
+                            [1, 0, 0, 1], [2, 1, 2, 2]], [2, 4]),
+            # zero delays, and a round that lasts no time at all
+            (PreSelectedK(2), [[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 2, 0], [0, 2, 0, 0],
+                               [0, 0, 0, 3]], [3]),
+            # node 3 receives nothing; node 2 nothing in the first slice
+            (EarliestK(1), [[0.4, 0.2, 0.9, 5.0], [0.3, 0.8, 0.6, 5.0], [0.2, 0.7, 0.9, 5.0],
+                            [0.9, 0.5, 0.1, 5.0], [0.8, 0.6, 0.3, 5.0]], [3]),
+            # runs of two and three misses inside one slice
+            (EarliestK(1), [[0.3, 0.5, 0.2, 0.9], [0.1, 0.5, 0.6, 0.9], [0.4, 0.2, 0.6, 0.9],
+                            [0.5, 0.6, 0.7, 0.1], [0.8, 0.7, 0.1, 0.9], [0.2, 0.9, 0.5, 0.8]], []),
+            # one-round slices
+            (PreSelectedK(2), [[0.5, 0.25, 1.5, 0.75], [2.0, 0.5, 0.25, 1.0],
+                               [0.75, 1.25, 1.0, 0.5], [1.0, 2.0, 0.5, 0.25]], [1, 2, 3]),
+        ],
+        ids=["ties_at_y", "zero_delays", "node_without_delivery", "runs_of_misses",
+             "one_round_slices"],
+    )
+    @pytest.mark.parametrize("fresh", [False, True], ids=["carried_state", "fresh_state"])
+    def test_both_paths_agree(self, policy, rows, cuts, fresh):
+        delays = np.array(rows, dtype=float)
+        y, delivered = run_rounds(policy, delays, group=np.array([0, 2]))
+        if fresh:
+            last_wall, last_gen = np.zeros((2, 4))
+        else:
+            last_gen = np.array([6.5, 9.0, 2.0, 8.75])
+            last_wall = last_gen + np.array([1.5, 0.5, 0.25, 1.25])
+        by_rounds = credit_slices(1.0, 10.0, y, delays, delivered, cuts, last_wall, last_gen)
+        by_deliveries = credit_slices(-1.0, 10.0, y, delays, delivered, cuts, last_wall, last_gen)
+        np.testing.assert_array_equal(by_rounds[2], by_deliveries[2])
+        for a, b in zip(by_rounds, by_deliveries):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
 
 def drive_engine(policy, model, n, chunk_rounds, seed, reuse, every_node=False):
     """Sample, resolve and accumulate consecutive chunks as the engine does.
@@ -368,17 +483,18 @@ def drive_engine(policy, model, n, chunk_rounds, seed, reuse, every_node=False):
         np.testing.assert_array_equal(delays, delays_before)
         record = [y.copy(), delivered.copy()]
         cs = np.cumsum(y)
-        t_prev = t + np.concatenate(([0.0], cs[:-1]))
-        t_prev_before = t_prev.copy()
+        t_edges = t + np.concatenate(([0.0], cs))
+        t_edges_before = t_edges.copy()
         for first in range(0, rounds, slice_rounds):
             rows = slice(first, first + slice_rounds)
             _accumulate_block(
-                t_prev[rows], delays[rows], None if every_node else delivered[rows],
+                t_edges[first:first + slice_rounds + 1], y[rows], delays[rows],
+                None if every_node else delivered[rows],
                 last_wall, last_gen, area, span, count,
                 workspace if reuse else _Workspace(),
             )
         np.testing.assert_array_equal(delays, delays_before)
-        np.testing.assert_array_equal(t_prev, t_prev_before)
+        np.testing.assert_array_equal(t_edges, t_edges_before)
         np.testing.assert_array_equal(delivered, record[1])
         t += float(cs[-1])
         records.append(record + [a.copy() for a in (last_wall, last_gen, area, span, count)])
@@ -618,11 +734,12 @@ class TestDeterminismAndAggregation:
     # float.hex of grand mean, std error and virtual time of the runs above
     # (and a hyper-exponential earliest-k run), recorded with version 0.3.0,
     # per-update pre-selected with 0.4.0, std errors from per-batch sums with
-    # 0.6.1, on x86-64 with numpy 2.4: no engine change that keeps every
-    # random stream may move a bit
+    # 0.6.1, wait-for-all's area credited round by round with 0.6.2, on
+    # x86-64 with numpy 2.4: no engine change that keeps every random stream
+    # and every crediting path may move a bit
     PINNED_BITS = [
         (WaitForAll(), None,
-         "0x1.dfb20fbee588ap+1", "0x1.06c6be7271d0ap-7", "0x1.405d82efec5bbp+16"),
+         "0x1.dfb20fbee5878p+1", "0x1.06c6be7271fd4p-7", "0x1.405d82efec5bbp+16"),
         (EarliestK(7), None,
          "0x1.749a2f8019d85p+1", "0x1.2f96e518a9ff9p-8", "0x1.1ed0f2c692426p+14"),
         (PreSelectedK(7), None,
@@ -647,18 +764,19 @@ class TestDeterminismAndAggregation:
         assert result.std_error.hex() == std_error
         assert result.virtual_time.hex() == virtual_time
 
-    # float.hex as above, recorded with version 0.5.0 (std errors with 0.6.1),
+    # float.hex as above, recorded with version 0.5.0 (std errors with 0.6.1,
+    # wait-for-all and pre-selected credited round by round with 0.6.2),
     # of runs whose warmup hands its state on to the measured updates: at
     # n = 200 a warmup of 25 000 rounds spans two chunks; EarliestK(1) with a
     # warmup of 3 leaves most of the 40 nodes with no delivery, so they start
     # from state 0
     PINNED_WARMUP_BITS = [
         (WaitForAll(), 200, 25_000,
-         "0x1.352bc27860b3dp+2", "0x1.fba38bd19f3dcp-7", "0x1.8f9169ba05c61p+13"),
+         "0x1.352bc27860b03p+2", "0x1.fba38bd19e9ddp-7", "0x1.8f9169ba05c61p+13"),
         (EarliestK(150), 200, 25_000,
          "0x1.4dccd24adf4c5p+1", "0x1.94ac93f145d91p-9", "0x1.d540972253951p+11"),
         (PreSelectedK(150), 200, 25_000,
-         "0x1.2aab696ed841fp+2", "0x1.0f09c5bfcf37ep-6", "0x1.7b0230ee15119p+13"),
+         "0x1.2aab696ed8401p+2", "0x1.0f09c5bfce198p-6", "0x1.7b0230ee15119p+13"),
         (EarliestK(1), 40, 3,
          "0x1.45a40ded59626p+4", "0x1.39c4272b19c7fp-1", "0x1.06457ba84da0bp+10"),
     ]
