@@ -50,8 +50,7 @@ class RandomStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if int(self.stream_index) < 0:
             raise ValueError(f"stream_index must be >= 0, got {self.stream_index}")
         ss = np.random.SeedSequence(
@@ -62,6 +61,11 @@ class RandomStream:
     @property
     def generator(self) -> np.random.Generator:
         return self._generator  # type: ignore[attr-defined]
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= int(seed) < _MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 def _check_rate_shift(rate: float, shift: float) -> None:
@@ -131,7 +135,8 @@ class HyperExponential:
         if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {weights}")
         object.__setattr__(self, "_cum_weights", np.cumsum(weights))
-        object.__setattr__(self, "_rates_arr", np.asarray(rates))
+        # Negated, so that one division turns log1p(-u) into a draw.
+        object.__setattr__(self, "_negated_rates", -np.asarray(rates))
 
     def mean(self) -> float:
         return math.fsum(w / r for w, r in zip(self.weights, self.rates))
@@ -154,10 +159,10 @@ class HyperExponential:
         before all value uniforms.
         """
         gen = stream.generator
-        rates = self._rates_arr  # type: ignore[attr-defined]
+        negated_rates = self._negated_rates  # type: ignore[attr-defined]
         if size is None and out is None:
             comp = self._component(gen.random())
-            return -np.log1p(-gen.random()) / rates[comp]
+            return np.log1p(-gen.random()) / negated_rates[comp]
         out = gen.random(size, out=out)
         # The component uniforms fill out first; block by block, each is
         # turned into a component index and its place takes the next value
@@ -169,8 +174,7 @@ class HyperExponential:
             gen.random(out=block)
             np.negative(block, out=block)
             np.log1p(block, out=block)
-            np.negative(block, out=block)
-            np.divide(block, rates[comp], out=block)
+            np.divide(block, negated_rates[comp], out=block)
         return out
 
     def label(self) -> str:

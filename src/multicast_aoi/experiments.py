@@ -26,7 +26,7 @@ from .analytics import (
     age_wait_for_all,
     optimal_k_closed_form,
 )
-from .delay_models import DelayModel, HyperExponential, ShiftedExponential
+from .delay_models import DelayModel, HyperExponential, ShiftedExponential, _check_seed
 from .simulator import (
     EarliestK,
     PreSelectedK,
@@ -180,6 +180,7 @@ def run_sweep(
         raise ValueError(f"rounds must be >= 100, got {rounds}")
     if not points:
         raise ValueError("a sweep needs at least one point")
+    _check_seed(seed)
     rows = []
     for index, (model, scheme, n, k) in enumerate(points):
         config = SimConfig(
@@ -240,6 +241,7 @@ def run_fig5(
     that row carries ``kstar_flag``.  Each rate is its own sweep, seeded
     from ``seed`` and the rate's position.
     """
+    _check_seed(seed)
     rows = []
     for index, rate in enumerate(rates):
         kstar = optimal_k_closed_form(rate, shift, 100)

@@ -10,31 +10,31 @@ the accumulated sawtooth area divided by the observed span.
 The engine advances whole blocks of rounds with vectorized numpy and is
 deterministic given ``(seed, replication index)`` for a given package
 version.  Per block it samples the delays, resolves every round at once
-and credits the rounds slice by slice, with no loop over nodes.
+and credits the rounds, with no loop over nodes.
 Earliest-k and per-update pre-selected rounds share one resolve: a sorted
 copy of each row, from which earliest-k reads its k-th smallest delay, and
 pre-selected the delay of its group's slowest member, whose rank is drawn
-without ever drawing the group (see :func:`run_rounds`).  A slice is
+without ever drawing the group (see :func:`run_rounds`).  A block is
 credited on one of two paths, chosen by the share of its (round, node)
 pairs that miss the update.  With few misses, as when the policy waits for
 all n nodes or for a pre-selected group of most of them, each node's age
-integral over the slice is one matrix-vector product of the round
+integral over the block is one matrix-vector product of the round
 durations with the delays, plus one correction per miss.  Otherwise the
-deliveries are picked out of a node-major copy of the slice into one flat
-array and credited as trapezoids between consecutive deliveries of a
-node.  Both paths leave the same state, up to the rounding of the area
-(see :func:`_accumulate_block`).  Warmup rounds are sampled and resolved
-like the others, so the random streams advance alike, but their sawtooth
-is not accounted: each node keeps only its last delivery, the state that
-the measured rounds start from.  Each run keeps one workspace of flat
-buffers that every block reuses: the delays are drawn into it, and
-resolution and accumulation work in it in place, so that a block costs
-no fresh pages.
+block is cut into slices, and each slice's deliveries are picked out of
+its node-major copy into one flat array and credited as trapezoids between
+consecutive deliveries of a node.  Both paths leave the same state, up to
+the rounding of the area (see :func:`_credit_chunk`).  Warmup rounds are
+sampled and resolved like the others, so the random streams advance alike,
+but their sawtooth is not accounted: each node keeps only its last
+delivery, the state that the measured rounds start from.  Each run keeps
+one workspace of flat buffers that every block reuses: the delays are
+drawn into it, and resolution and accumulation work in it in place, so
+that a block costs no fresh pages.
 
 A run is one loop over a chunk list (the warmup, then each batch of
-measured rounds, each cut at ``chunk_rounds``) that adds each slice's area
-and span and each chunk's duration into per-batch vectors.  The list fixes
-the random stream: a hyper-exponential call draws all its component
+measured rounds, each cut at ``chunk_rounds``) that adds each credited
+area and span and each chunk's duration into per-batch vectors.  The list
+fixes the random stream: a hyper-exponential call draws all its component
 uniforms before its values, and the rounding of the round start times
 ``t_edges`` depends on where each chunk starts; so changing the list is a
 named stream change.
@@ -48,7 +48,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .delay_models import DelayModel, RandomStream
+from .delay_models import DelayModel, RandomStream, _check_seed
 
 __all__ = [
     "WaitForAll",
@@ -64,16 +64,17 @@ __all__ = [
 
 _REGROUP_MODES = ("per_update", "fixed")
 _CHUNK_ELEMENTS = 4_000_000
-# Rounds are accumulated in slices of this many (round, node) elements, so
-# that the arrays of _accumulate_block's passes stay in the CPU cache.  On a
-# 2-core x86-64 VM (AVX-512, numpy 2.4), best of four 51 000-round runs per
+# A chunk credited by its deliveries is cut into slices of this many (round,
+# node) elements, so that the arrays of _credit_deliveries' passes stay in
+# the CPU cache; a chunk credited round by round is never cut.  On a 2-core
+# x86-64 VM (AVX-512, numpy 2.4), best of four 51 000-round runs per
 # policy: at n = 100, 2**15 was fastest for every policy, 2**18-element
 # slices ran 1.04-1.2x slower and 2**13 1.1-1.2x; at n = 200, 2**16-2**17
 # were up to 4% faster for earliest-k and 2**15 fastest for the others.
 # (The 1.6-2x once seen for wait-for-all at 2**18 came from the page faults
 # of fresh allocations in every slice.)
 _SLICE_ELEMENTS = 1 << 15
-# A slice in which at most this share of the (round, node) pairs miss the
+# A chunk in which at most this share of the (round, node) pairs miss the
 # update is credited round by round, any other by its deliveries.  Same VM,
 # best of nine alternating passes over 6 000 rounds per case: at 0.35% misses
 # (pre-selected 73 of 100) the round-by-round path took 2.8 ns per pair and
@@ -284,6 +285,7 @@ class SimConfig:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        _check_seed(self.seed)
         _policy_threshold(self.policy, self.n)
 
 
@@ -303,58 +305,48 @@ class SimResult:
     delivery_fraction: np.ndarray
 
 
-def _accumulate_block(
-    t_edges: np.ndarray,
-    y: np.ndarray,
-    delays: np.ndarray,
-    delivered: Optional[np.ndarray],
-    last_wall: np.ndarray,
-    last_gen: np.ndarray,
-    area: np.ndarray,
-    span: np.ndarray,
-    count: np.ndarray,
-    ws: _Workspace,
-) -> tuple[float, float]:
-    """Credit a slice of rounds to each node's sawtooth area, span and count.
+def _credit_chunk(t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws):
+    """Credit a chunk of rounds to each node's sawtooth area, span and count.
 
     Round j starts (and generates its update) at ``t_edges[j]`` and lasts
-    ``y[j]``; the slice ends at ``t_edges[-1]``, the float at which the next
-    slice starts.  Node i receives round j's update at
-    ``t_edges[j] + delays[j, i]`` when ``delivered[j, i]``, or in every round
-    when ``delivered`` is None (a policy that waits for all n nodes); every
+    ``y[j]``; the chunk ends at ``t_edges[-1]``.  Node i receives round j's
+    update at ``t_edges[j] + delays[j, i]`` when ``delivered[j, i]``; every
     round delivers to at least one node.  The area and span a node gains are
-    those between its last delivery before the slice (``last_wall``, of the
+    those between its last delivery before the chunk (``last_wall``, of the
     update generated at ``last_gen``) and its last delivery in it, which
     becomes the new ``last_wall``/``last_gen``; a node with no delivery in
-    the slice keeps its state.  Returns the area and the span that the slice
-    added, summed over all nodes.
+    the chunk keeps its state.  Returns the area and the span added, summed
+    over all nodes, per credited slice, in order.
 
-    Two paths give the same result, up to the rounding of the area: spans,
-    counts and the last deliveries are the same floats on both.  A slice in
-    which at most ``_DENSE_MISS_SHARE`` of its (round, node) pairs miss the
-    update is credited round by round (:func:`_credit_rounds`); any other
-    slice by its deliveries (:func:`_credit_deliveries`).  ``delivered``
-    None, and a mask with no miss, take the first path alike.
+    A chunk in which at most ``_DENSE_MISS_SHARE`` of its (round, node)
+    pairs miss the update is credited round by round in one call
+    (:func:`_credit_rounds`, with ``delivered`` None when nothing misses);
+    any other chunk by its deliveries (:func:`_credit_deliveries`), in
+    slices of ``_SLICE_ELEMENTS``.  On the same rounds the two paths leave
+    the same state up to the rounding of the area: spans, counts and the
+    last deliveries are the same floats on both.  One call in place of
+    several moves the area, and the spans' sums of differences, by rounding
+    alone.
     """
-    if delivered is None:
-        misses = 0
-    else:
-        misses = delivered.size - np.count_nonzero(delivered)
-        if misses > _DENSE_MISS_SHARE * delivered.size:
-            return _credit_deliveries(t_edges[:-1], delays, delivered, last_wall, last_gen,
-                                      area, span, count, ws)
-    return _credit_rounds(t_edges, y, delays, delivered if misses else None, last_wall,
-                          last_gen, area, span, count, ws)
+    misses = delivered.size - np.count_nonzero(delivered)
+    if misses <= _DENSE_MISS_SHARE * delivered.size:
+        return [_credit_rounds(t_edges, y, delays, delivered if misses else None, last_wall,
+                               last_gen, area, span, count, ws)]
+    step = max(1, _SLICE_ELEMENTS // delays.shape[1])
+    t_prev = t_edges[:-1]
+    return [_credit_deliveries(t_prev[i:i + step], delays[i:i + step], delivered[i:i + step],
+                               last_wall, last_gen, area, span, count, ws)
+            for i in range(0, len(y), step)]
 
 
 def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws):
-    """The dense path of :func:`_accumulate_block`: a slice with few misses.
+    """The dense path of :func:`_credit_chunk`: rounds with few misses.
 
     Over round j, node i's age starts at ``A[j, i]`` and grows at slope one
     for ``e[j, i] = min(delays[j, i], y[j])``, until the update arrives or
     the round ends; after an arrival it is the time since ``t_edges[j]``.
     So the round adds ``A[j, i]*e[j, i] + y[j]**2/2`` to the integral of the
-    node's age over the slice, and ``e`` does not depend on how ties were
+    node's age over the rounds, and ``e`` does not depend on how ties were
     broken.  ``A[0]`` is ``t_edges[0] - last_gen``; ``A[j]`` is ``y[j-1]``
     after a delivery in round j-1 and ``y[j-1] + A[j-1]`` after a miss.
     With no miss (``delivered`` None), ``e`` is ``delays`` and the integral
@@ -363,8 +355,8 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, spa
     then corrects two terms: round m grows for ``y[m]`` instead of
     ``delays[m, i]``, and round m+1 starts ``A[m, i]`` older.  Head and tail
     terms turn the integral over ``[t_edges[0], t_edges[-1]]`` into the
-    area between a node's last delivery before the slice and its last in
-    it.  The product is einsum's own loop, not BLAS, whose threads could
+    area between a node's last delivery before the rounds and its last in
+    them.  The product is einsum's own loop, not BLAS, whose threads could
     make the bits depend on the thread count.
     """
     rounds, n = delays.shape
@@ -398,7 +390,7 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, spa
         grow = np.minimum(delays.take(miss + n, mode="clip"), np.append(y, 0.0)[j + 1])
         term = assumed * (y[j] - delays.take(miss)) + age * grow
         integral += np.bincount(i, term, minlength=n)
-        # The row of each node's last delivery in the slice, -1 for none.
+        # The row of each node's last delivery in the rounds, -1 for none.
         row = np.full(n, rounds - 1)
         at_end = j == rounds - 1
         row[i[at_end]] = run[at_end] - 1
@@ -418,7 +410,7 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, spa
 
 
 def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, area, span, count, ws):
-    """The sparse path of :func:`_accumulate_block`: a slice with many misses.
+    """The sparse path of :func:`_credit_chunk`: a slice with many misses.
 
     A delivery after a gap ``g`` since the node's previous one, whose age
     right after that previous delivery was ``a0``, adds the trapezoid
@@ -479,7 +471,7 @@ def _keep_last_deliveries(
 ) -> None:
     """Move each node's state to its last delivery in a block of warmup rounds.
 
-    The state is what :func:`_accumulate_block` leaves, formed by the same
+    The state is what :func:`_credit_chunk` leaves, formed by the same
     float operations, without its area, span and count.
     """
     rounds, n = delays.shape
@@ -506,9 +498,7 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     t = 0.0
     ws = _Workspace()
     chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
-    slice_rounds = max(1, _SLICE_ELEMENTS // n)
 
-    every_node = _policy_threshold(policy, n) == n
     batches = max(1, min(_MAX_BATCHES, config.updates // 50))
     base, extra = divmod(config.updates, batches)
     # (batch, rounds) of every chunk: the warmup as batch -1, then each batch,
@@ -530,13 +520,9 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
         if b < 0:
             _keep_last_deliveries(t_edges[:-1], delays, delivered, last_wall, last_gen)
         else:
-            for first in range(0, r, slice_rounds):
-                rows = slice(first, first + slice_rounds)
-                added_area, added_span = _accumulate_block(
-                    t_edges[first:first + slice_rounds + 1], y[rows], delays[rows],
-                    None if every_node else delivered[rows],
-                    last_wall, last_gen, area, span, count, ws,
-                )
+            for added_area, added_span in _credit_chunk(
+                t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws
+            ):
                 batch_area[b] += added_area
                 batch_span[b] += added_span
             batch_time[b] += float(cs[-1])

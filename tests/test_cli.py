@@ -438,6 +438,32 @@ class TestExperimentAndValidate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    SEEDED = {
+        "fig4": ["experiment", "fig4", "--rounds", "200", "--warmup", "10", "--step", "100"],
+        "fig5": ["experiment", "fig5", "--rounds", "200", "--warmup", "10", "--step", "100"],
+        "fig6": ["experiment", "fig6", "--n-max", "3", "--n-step", "2", "--rounds", "200",
+                 "--warmup", "10"],
+        "validate": ["validate", "--rounds", "200", "--warmup", "10"],
+    }
+
+    @pytest.mark.parametrize("command", list(SEEDED))
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_seed_outside_64_bits_rejected(self, capsys, monkeypatch, command, seed, via):
+        # sweep seeds once wrapped mod 2**64: 2**64 printed the output of seed 0
+        args = self.SEEDED[command]
+        if via == "flag":
+            args = args + ["--seed", seed]
+        else:
+            monkeypatch.setenv("AOI_SEED", seed)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run_cli(self.SEEDED["fig6"] + ["--seed", str(2**64 - 1)], capsys)
+        assert code == 0 and out
+
     def test_validate_passes(self, capsys):
         code, out, _ = run_cli(
             ["validate", "--rounds", "5000", "--seed", "7"], capsys

@@ -114,6 +114,13 @@ class TestRunSweep:
         # a point's seed depends on its position alone
         assert run_sweep(points[:1], rounds=500, warmup=50, seed=11) == rows[:1]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # point seeds wrap mod 2**64; the sweep seed itself must not
+        points = [(ShiftedExponential(1.0, 0.0), "earliest_k", 5, 3)]
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            run_sweep(points, rounds=500, warmup=50, seed=seed)
+
 
 class TestValidationGrid:
     def test_default_grid_passes(self, default_report):

@@ -28,7 +28,9 @@ from multicast_aoi import simulator
 from multicast_aoi.simulator import (
     _SLICE_ELEMENTS,
     _Workspace,
-    _accumulate_block,
+    _credit_chunk,
+    _credit_deliveries,
+    _credit_rounds,
     _slowest_rank_cdf,
 )
 from scalar_oracles import NodeAgeState, accumulate_delivery, run_round
@@ -345,19 +347,22 @@ class TestEngineMatchesScalarReference:
         [
             (WaitForAll(), 3, {"rounds"}),
             (EarliestK(1), 3, {"deliveries"}),
-            # one miss per round: 3 in a 3-round slice of 20 nodes, below 1/16
+            # one miss per round: 5% of the pairs, below 1/16
             (EarliestK(19), 20, {"rounds"}),
-            # misses in about 4.5% of the pairs, 2.7 per 3-round slice on
-            # average, against 3.75 at the threshold
-            (PreSelectedK(10), 20, {"rounds", "deliveries"}),
-            (PreSelectedK(10, regroup="fixed"), 20, {"rounds", "deliveries"}),
+            # misses in about 4.5% of the pairs, 45 per 50-round chunk on
+            # average, against 62.5 at the threshold
+            (PreSelectedK(10), 20, {"rounds"}),
+            (PreSelectedK(10, regroup="fixed"), 20, {"rounds"}),
+            # about 6.7% misses: chunks on both sides of the threshold
+            (PreSelectedK(8), 20, {"rounds", "deliveries"}),
         ],
         ids=["wait_for_all", "earliest1_of_3", "earliest19_of_20", "preselected10_of_20",
-             "preselected10_of_20_fixed"],
+             "preselected10_of_20_fixed", "preselected8_of_20"],
     )
     def test_batches_spanning_slices(self, monkeypatch, policy, n, paths):
-        # 64-element slices: every batch of 50 rounds spans several slices,
-        # each credited by the path its misses call for
+        # 64-element slices: every batch of 50 rounds, one chunk, spans
+        # several slices; a chunk with few misses is credited in one call,
+        # any other slice by slice
         monkeypatch.setattr(simulator, "_SLICE_ELEMENTS", 64)
         taken = []
 
@@ -383,34 +388,39 @@ class TestEngineMatchesScalarReference:
         assert result.virtual_time == pytest.approx(virtual, rel=1e-12)
         assert len(batch_means) == 8
         assert result.std_error == pytest.approx(batch_std_error(batch_means), rel=1e-9)
-        # the paths each batch of 50 rounds took
-        batches, done = [], 0
-        for name, rounds in taken:
-            if done % 50 == 0:
-                batches.append(set())
-            batches[-1].add(name.removeprefix("_credit_"))
-            done += rounds
-        assert done == 400 and len(batches) == 8
-        assert set().union(*batches) == paths
-        assert any(batch == paths for batch in batches)
+        # the path each chunk took, and the rounds of each of its calls
+        step = 64 // n
+        calls = {"_credit_rounds": [50],
+                 "_credit_deliveries": [min(step, 50 - first) for first in range(0, 50, step)]}
+        chunks = []
+        while taken:
+            name = taken[0][0]
+            expected = [(name, rounds) for rounds in calls[name]]
+            assert taken[:len(expected)] == expected
+            del taken[:len(expected)]
+            chunks.append(name.removeprefix("_credit_"))
+        assert len(chunks) == 8 and set(chunks) == paths
 
 
-def credit_slices(share, t0, y, delays, delivered, cuts, last_wall, last_gen):
+def credit_slices(path, t0, y, delays, delivered, cuts, last_wall, last_gen):
     """Per-node state after crediting the rounds, cut into slices at ``cuts``,
-    with ``_DENSE_MISS_SHARE`` set to ``share``; plus the returned sums."""
+    each slice on ``path`` (``rounds`` or ``deliveries``); plus the returned
+    sums.  As in the engine, a slice without misses reaches the round-by-round
+    path with no mask."""
     last_wall, last_gen = last_wall.copy(), last_gen.copy()
     area, span = np.zeros((2, delays.shape[1]))
     count = np.zeros(delays.shape[1], dtype=np.int64)
     t_edges = t0 + np.concatenate(([0.0], np.cumsum(y)))
+    state = (last_wall, last_gen, area, span, count, _Workspace())
     sums = []
     bounds = [0, *cuts, len(y)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_DENSE_MISS_SHARE", share)
-        for first, stop in zip(bounds[:-1], bounds[1:]):
-            sums.append(_accumulate_block(
-                t_edges[first:stop + 1], y[first:stop], delays[first:stop],
-                delivered[first:stop], last_wall, last_gen, area, span, count, _Workspace(),
-            ))
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        mask = delivered[first:stop]
+        if path == "rounds":
+            sums.append(_credit_rounds(t_edges[first:stop + 1], y[first:stop],
+                                       delays[first:stop], None if mask.all() else mask, *state))
+        else:
+            sums.append(_credit_deliveries(t_edges[first:stop], delays[first:stop], mask, *state))
     return area, span, count, last_wall, last_gen, np.array(sums)
 
 
@@ -448,27 +458,65 @@ class TestAccumulationPaths:
         else:
             last_gen = np.array([6.5, 9.0, 2.0, 8.75])
             last_wall = last_gen + np.array([1.5, 0.5, 0.25, 1.25])
-        by_rounds = credit_slices(1.0, 10.0, y, delays, delivered, cuts, last_wall, last_gen)
-        by_deliveries = credit_slices(-1.0, 10.0, y, delays, delivered, cuts, last_wall, last_gen)
+        by_rounds = credit_slices("rounds", 10.0, y, delays, delivered, cuts, last_wall, last_gen)
+        by_deliveries = credit_slices("deliveries", 10.0, y, delays, delivered, cuts, last_wall,
+                                      last_gen)
         np.testing.assert_array_equal(by_rounds[2], by_deliveries[2])
         for a, b in zip(by_rounds, by_deliveries):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("policy", [WaitForAll(), PreSelectedK(73)],
+                             ids=["wait_for_all", "preselected73"])
+    @pytest.mark.parametrize("fresh", [False, True], ids=["carried_state", "fresh_state"])
+    def test_dense_chunk_longer_than_a_slice(self, policy, fresh):
+        # 1 000 rounds of 100 nodes fill three default slices and part of a
+        # fourth: crediting the chunk whole equals crediting it slice by slice
+        n, rounds, t0 = 100, 1000, 40.0
+        delays = ShiftedExponential(1.0, 1.0).sample(RandomStream(17), (rounds, n))
+        y, delivered = run_rounds(policy, delays, group_stream=RandomStream(18))
+        if fresh:
+            last_wall, last_gen = np.zeros((2, n))
+        else:
+            last_gen = t0 - RandomStream(19).generator.uniform(2.0, 9.0, n)
+            last_wall = last_gen + RandomStream(20).generator.uniform(1.0, 2.0, n)
+        step = _SLICE_ELEMENTS // n
+        assert rounds * n > 3 * _SLICE_ELEMENTS
+        sliced = credit_slices("rounds", t0, y, delays, delivered, range(step, rounds, step),
+                               last_wall, last_gen)
+        # the engine's step credits the chunk in one call
+        last_wall, last_gen = last_wall.copy(), last_gen.copy()
+        area, span = np.zeros((2, n))
+        count = np.zeros(n, dtype=np.int64)
+        t_edges = t0 + np.concatenate(([0.0], np.cumsum(y)))
+        (sums,) = _credit_chunk(t_edges, y, delays, delivered, last_wall, last_gen, area, span,
+                                count, _Workspace())
+        whole = area, span, count, last_wall, last_gen, np.array([sums])
+        # count, last_wall and last_gen
+        for a, b in zip(whole[2:5], sliced[2:5]):
+            assert_same_bits(a, b)
+        # A span adds one difference of deliveries per call.  From zero the
+        # slices' differences telescope exactly; the first one from a carried
+        # last_wall may round apart from the whole chunk's, by one rounding.
+        if fresh:
+            assert_same_bits(whole[1], sliced[1])
+        else:
+            np.testing.assert_allclose(whole[1], sliced[1], rtol=2**-52, atol=0)
+        np.testing.assert_allclose(whole[0], sliced[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(whole[5].sum(axis=0), sliced[5].sum(axis=0), rtol=1e-12)
 
-def drive_engine(policy, model, n, chunk_rounds, seed, reuse, every_node=False):
+
+def drive_engine(policy, model, n, chunk_rounds, seed, reuse):
     """Sample, resolve and accumulate consecutive chunks as the engine does.
 
     With ``reuse`` one workspace serves every chunk; without it, every call
-    gets fresh arrays.  With ``every_node`` the accumulation is told that
-    every node receives every round instead of being handed the mask.
-    Returns, per chunk, ``y``, the delivery mask and the per-node state
-    after the chunk.  Asserts that no call writes the arrays it is handed.
+    gets fresh arrays.  Returns, per chunk, ``y``, the delivery mask and the
+    per-node state after the chunk.  Asserts that no call writes the arrays
+    it is handed.
     """
     delay_stream, group_stream = RandomStream(seed, 0), RandomStream(seed, 1)
     last_wall, last_gen, area, span = (np.zeros(n) for _ in range(4))
     count = np.zeros(n, dtype=np.int64)
     workspace = _Workspace()
-    slice_rounds = max(1, _SLICE_ELEMENTS // n)
     t = 0.0
     records = []
     for rounds in chunk_rounds:
@@ -485,14 +533,8 @@ def drive_engine(policy, model, n, chunk_rounds, seed, reuse, every_node=False):
         cs = np.cumsum(y)
         t_edges = t + np.concatenate(([0.0], cs))
         t_edges_before = t_edges.copy()
-        for first in range(0, rounds, slice_rounds):
-            rows = slice(first, first + slice_rounds)
-            _accumulate_block(
-                t_edges[first:first + slice_rounds + 1], y[rows], delays[rows],
-                None if every_node else delivered[rows],
-                last_wall, last_gen, area, span, count,
-                workspace if reuse else _Workspace(),
-            )
+        _credit_chunk(t_edges, y, delays, delivered, last_wall, last_gen, area, span, count,
+                      workspace if reuse else _Workspace())
         np.testing.assert_array_equal(delays, delays_before)
         np.testing.assert_array_equal(t_edges, t_edges_before)
         np.testing.assert_array_equal(delivered, record[1])
@@ -532,14 +574,22 @@ class TestWorkspace:
                 assert_same_bits(a, b)
 
     @pytest.mark.parametrize("n", [100, 1])
-    def test_every_node_path_matches_mask_path(self, n):
-        # with k = n the accumulation skips the mask compaction; area, span,
-        # count, last_wall and last_gen must keep every bit
+    def test_wait_for_all_chunk_credits_without_mask(self, monkeypatch, n):
+        # each wait-for-all chunk reaches _credit_rounds whole and with no
+        # mask; handing it the all-true mask instead keeps every bit of area,
+        # span, count, last_wall and last_gen
         model = ShiftedExponential(1.0, 1.0)
         chunks = (1562, 1000, 1)
+        credit_rounds, masks = simulator._credit_rounds, []
+
+        def with_mask(t_edges, y, delays, delivered, *state):
+            masks.append((len(y), delivered))
+            return credit_rounds(t_edges, y, delays, np.ones(delays.shape, bool), *state)
+
+        direct = drive_engine(WaitForAll(), model, n, chunks, seed=43, reuse=True)
+        monkeypatch.setattr(simulator, "_credit_rounds", with_mask)
         masked = drive_engine(WaitForAll(), model, n, chunks, seed=43, reuse=True)
-        direct = drive_engine(WaitForAll(), model, n, chunks, seed=43, reuse=True,
-                              every_node=True)
+        assert masks == [(rounds, None) for rounds in chunks]
         for masked_chunk, direct_chunk in zip(masked, direct):
             for a, b in zip(masked_chunk, direct_chunk):
                 assert_same_bits(a, b)
@@ -865,6 +915,9 @@ class TestFailureModes:
             SimConfig(n=2, policy=EarliestK(1), model=model, updates=100, warmup=-1, seed=1)
         with pytest.raises(ValueError):
             PreSelectedK(2, regroup="sometimes")
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                SimConfig(n=2, policy=EarliestK(1), model=model, updates=100, seed=seed)
 
     def test_too_few_updates_for_statistics(self):
         with pytest.raises(ValueError, match="at least 100 measured updates"):
