@@ -56,4 +56,4 @@ from .simulator import (
     run_rounds,
 )
 
-__version__ = "0.6.3"
+__version__ = "0.7.0"

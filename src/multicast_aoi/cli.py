@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -40,9 +39,9 @@ from .experiments import (
     run_fig5,
     run_fig6,
     run_validation,
-    sweep_row,
+    simulate_point,
 )
-from .simulator import SimConfig, SimulationError, replicate
+from .simulator import SimulationError
 
 _SCHEMES_BY_CLI_NAME = {scheme.cli_name: scheme for scheme in SCHEMES.values()}
 
@@ -253,20 +252,10 @@ def _simulate(args) -> int:
     if args.regroup is not None and scheme.name != "preselected_k":
         raise _CliError(f"--regroup does not apply to --scheme {scheme.cli_name}")
     seed = _seed(args)
-    config = SimConfig(
-        n=args.n,
-        policy=scheme.policy(k, (args.regroup or "per-update").replace("-", "_")),
-        model=model,
-        updates=args.updates,
-        warmup=args.warmup,
-        seed=seed,
-        replications=args.replications,
+    result, row = simulate_point(
+        model, scheme.name, args.n, k, args.updates, args.warmup, seed, args.replications,
+        (args.regroup or "per-update").replace("-", "_"),
     )
-    result = replicate(config)
-    row = sweep_row(scheme, model, args.n, k, result)
-    if args.regroup == "fixed" and k < args.n:
-        # Both analytic ages describe per-update regrouping, another process.
-        row = dataclasses.replace(row, exact_age=None, approx_age=None)
     echo = {
         "scheme": args.scheme,
         "model": model.label(),

@@ -95,15 +95,13 @@ class ShiftedExponential:
         return 1.0 / (self.rate * self.rate)
 
     def sample(self, stream: RandomStream, size=None, out=None):
-        """Draw one delay (a numpy scalar), or an array of ``size``.
+        """Draw an array of ``size`` delays.
 
         ``out``, a contiguous float64 array, receives the draws in place of
-        a new array and is returned.
+        a new array and is returned.  One of ``size`` and ``out`` is needed.
         """
         # Inverse CDF on u in [0, 1): shift - log1p(-u)/rate, always finite
         # and >= shift.
-        if size is None and out is None:
-            return self.shift - np.log1p(-stream.generator.random()) / self.rate
         u = stream.generator.random(size, out=out)
         np.negative(u, out=u)
         np.log1p(u, out=u)
@@ -152,17 +150,14 @@ class HyperExponential:
         return sum(u >= edge for edge in self._cum_weights[:-1])  # type: ignore[attr-defined]
 
     def sample(self, stream: RandomStream, size=None, out=None):
-        """Draw one delay (a numpy scalar), or an array of ``size``.
+        """Draw an array of ``size`` delays.
 
         ``out``, a contiguous float64 array, receives the draws in place of
-        a new array and is returned.  All component uniforms are drawn
-        before all value uniforms.
+        a new array and is returned.  One of ``size`` and ``out`` is needed.
+        All component uniforms are drawn before all value uniforms.
         """
         gen = stream.generator
         negated_rates = self._negated_rates  # type: ignore[attr-defined]
-        if size is None and out is None:
-            comp = self._component(gen.random())
-            return np.log1p(-gen.random()) / negated_rates[comp]
         out = gen.random(size, out=out)
         # The component uniforms fill out first; block by block, each is
         # turned into a component index and its place takes the next value

@@ -1,12 +1,12 @@
 """The scheme registry, scenario sweeps and the simulation-vs-theory grid.
 
 :data:`SCHEMES` maps each stopping scheme to its CLI name, its policy and
-the ages a simulation of it is compared with.  A sweep is a list of
-``(model, scheme_name, n, k)`` points: each figure and the validation grid
-list theirs, and :func:`run_sweep` simulates every point independently,
-seeded from the sweep seed and the point's position, so tables are
-byte-stable across runs and independent of execution order.  The figures
-sort their rows by (scheme, model, n, k); the grid keeps its points' order.
+the ages a simulation of it is compared with.  :func:`simulate_point` turns
+a ``(model, scheme_name, n, k)`` point into a result and a table row.  A
+sweep is a list of points, one comprehension per figure and for the grid;
+:func:`run_sweep` seeds point i with ``_point_seed(seed, i)``, so tables are
+byte-stable and any row can be rerun alone.  The figures sort their rows
+by (scheme, model, n, k); the grid keeps its points' order.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
     "Scheme",
     "SCHEMES",
     "SweepRow",
-    "sweep_row",
+    "simulate_point",
     "as_record",
     "run_sweep",
     "run_fig4",
@@ -142,22 +142,31 @@ class SweepRow:
 CSV_COLUMNS = tuple(_column(f) for f in fields(SweepRow))
 
 
-def sweep_row(scheme: Scheme, model: DelayModel, n: int, k: int, sim: SimResult) -> SweepRow:
-    """One table row: the simulated age, and the analytic columns where defined.
+def simulate_point(model: DelayModel, scheme: str, n: int, k: int, updates: int, warmup: int,
+                   seed: int, replications: int = 1,
+                   regroup: str = "per_update") -> tuple[SimResult, SweepRow]:
+    """Simulate one point: its result, and its table row.
 
     The analytic columns (exact and approximate age, whether k is the
-    closed-form k*) exist for shifted-exponential links only.
+    closed-form k*) exist for shifted-exponential links only.  A group of
+    k < n kept for the whole run (``regroup="fixed"``) has no exact or
+    approximate age: both describe per-update regrouping, another process.
     """
+    spec = SCHEMES[scheme]
+    config = SimConfig(n=n, policy=spec.policy(k, regroup), model=model, updates=updates,
+                       seed=seed, warmup=warmup, replications=replications)
+    result = replicate(config)
     lam = shift = exact = approx = None
     kstar = False
     if isinstance(model, ShiftedExponential):
         lam, shift = model.rate, model.shift
-        exact = scheme.estimated(lam, shift, n, k).total
-        approx_age = scheme.approx(lam, shift, n, k)
-        approx = None if approx_age is None else approx_age.total
+        if regroup == "per_update" or k == n:
+            exact = spec.estimated(lam, shift, n, k).total
+            approx_age = spec.approx(lam, shift, n, k)
+            approx = None if approx_age is None else approx_age.total
         kstar = k == optimal_k_closed_form(lam, shift, n)
-    return SweepRow(scheme.name, model.label(), lam, shift, n, k,
-                    sim.grand_mean, sim.std_error, exact, approx, kstar)
+    return result, SweepRow(scheme, model.label(), lam, shift, n, k,
+                            result.grand_mean, result.std_error, exact, approx, kstar)
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -173,27 +182,19 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Simulate each ``(model, scheme_name, n, k)`` point, in order, into a row.
 
-    Point i is seeded from ``seed`` and i alone.  The rows come back in
-    the order of the points.
+    Point i is seeded with ``_point_seed(seed, i)``, from ``seed`` and i
+    alone.  The rows come back in the order of the points.
     """
     if rounds < 100:
         raise ValueError(f"rounds must be >= 100, got {rounds}")
     if not points:
         raise ValueError("a sweep needs at least one point")
     _check_seed(seed)
-    rows = []
-    for index, (model, scheme, n, k) in enumerate(points):
-        config = SimConfig(
-            n=n,
-            policy=SCHEMES[scheme].policy(k, "per_update"),
-            model=model,
-            updates=rounds,
-            warmup=warmup,
-            seed=_point_seed(seed, index),
-            replications=replications,
-        )
-        rows.append(sweep_row(SCHEMES[scheme], model, n, k, replicate(config)))
-    return rows
+    return [
+        simulate_point(model, scheme, n, k, rounds, warmup, _point_seed(seed, index),
+                       replications)[1]
+        for index, (model, scheme, n, k) in enumerate(points)
+    ]
 
 
 def _sorted(rows: list[SweepRow]) -> list[SweepRow]:
@@ -232,26 +233,19 @@ def run_fig5(
     warmup: int = 1000,
     replications: int = 1,
     seed: int = DEFAULT_SEED,
-    rates: Sequence[float] = (0.5, 1.0, 2.0),
-    shift: float = 1.0,
 ) -> list[SweepRow]:
-    """Earliest-k vs pre-selected-k sweep at n=100, shift 1, several rates.
+    """Earliest-k vs pre-selected-k sweep at n=100, shift 1, rates 0.5, 1 and 2.
 
-    Each rate's sweep always includes its closed-form optimum k*, and
-    that row carries ``kstar_flag``.  Each rate is its own sweep, seeded
-    from ``seed`` and the rate's position.
+    Each rate's k grid always includes its closed-form optimum k*, and
+    that row carries ``kstar_flag``.  The three rates form one sweep.
     """
-    _check_seed(seed)
-    rows = []
-    for index, rate in enumerate(rates):
-        kstar = optimal_k_closed_form(rate, shift, 100)
-        points = [
-            (ShiftedExponential(rate, shift), scheme, 100, k)
-            for scheme in ("earliest_k", "preselected_k")
-            for k in _k_values(100, k_step, extra=(kstar,))
-        ]
-        rows += run_sweep(points, rounds, warmup, (seed + 10**6 * index) % 2**64, replications)
-    return _sorted(rows)
+    points = [
+        (ShiftedExponential(rate, 1.0), scheme, 100, k)
+        for rate in (0.5, 1.0, 2.0)
+        for scheme in ("earliest_k", "preselected_k")
+        for k in _k_values(100, k_step, extra=(optimal_k_closed_form(rate, 1.0, 100),))
+    ]
+    return _sorted(run_sweep(points, rounds, warmup, seed, replications))
 
 
 def run_fig6(
@@ -260,12 +254,10 @@ def run_fig6(
     warmup: int = 1000,
     replications: int = 1,
     seed: int = DEFAULT_SEED,
-    rate: float = 1.0,
-    shift: float = 1.0,
 ) -> list[SweepRow]:
-    """Minimum average age versus network size, stopping at the closed-form k*."""
-    model = ShiftedExponential(rate, shift)
-    points = [(model, "earliest_k", n, optimal_k_closed_form(rate, shift, n)) for n in n_values]
+    """Minimum average age versus network size at rate 1, shift 1, stopping at k*."""
+    model = ShiftedExponential(1.0, 1.0)
+    points = [(model, "earliest_k", n, optimal_k_closed_form(1.0, 1.0, n)) for n in n_values]
     return _sorted(run_sweep(points, rounds, warmup, seed, replications))
 
 

@@ -53,6 +53,10 @@ class TestWaitForAll:
             age_wait_for_all_general(1.0, 2.0, 3.9)
         with pytest.raises(ValueError):
             age_wait_for_all_general(0.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="interval_mean must be > 0, got 0.0"):
+            age_wait_for_all_general(1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            age_wait_for_all(1.0, 0.0, 0)
 
     def test_matches_general_form_fed_with_order_stat_moments(self):
         for rate in RATE_GRID:
@@ -401,6 +405,15 @@ class TestAgeResultValidation:
     def test_total_must_match_breakdown(self):
         with pytest.raises(ValueError):
             AgeResult(total=2.0, breakdown={"a": 0.5}, kind="exact", scheme="earliest_k")
+
+    @pytest.mark.parametrize("total, params, message", [
+        (-1.0, {}, "must be positive"),
+        (1.0, {"shift": 2.0}, "below the delay lower bound 2.0"),
+    ])
+    def test_total_out_of_range_rejected(self, total, params, message):
+        with pytest.raises(ValueError, match=message):
+            AgeResult(total=total, breakdown={"a": total}, kind="exact", scheme="earliest_k",
+                      params=params)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_total_rejected(self, bad):

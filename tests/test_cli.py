@@ -492,6 +492,17 @@ class TestArgumentErrors:
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--scheme", "wait-for-all", "--n", "3"],
+         "a delay model is required: give --lambda (and --shift) or --hyperexp"),
+        (["analyze", "--scheme", "wait-for-all", "--lambda", "1", "--alpha", "0.5"],
+         "--alpha applies only to --scheme earliest-k"),
+        (["analyze", "--scheme", "earliest-k", "--lambda", "1"],
+         "--scheme earliest-k requires --n"),
+    ])
+    def test_incomplete_arguments_rejected(self, capsys, argv, message):
+        assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("z", ["nan", "-1", "0"])
     def test_validate_rejects_threshold_before_simulating(self, capsys, monkeypatch, z):
         # a NaN threshold once failed every cell and exited 1 after the whole grid
@@ -503,7 +514,8 @@ class TestArgumentErrors:
 
     def test_unwritable_output_rejected_before_simulating(self, capsys, monkeypatch, tmp_path):
         # once a FileNotFoundError traceback (exit 1) after the simulation
-        monkeypatch.setattr(cli, "replicate", lambda config: pytest.fail("simulated"))
+        monkeypatch.setattr("multicast_aoi.experiments.replicate",
+                            lambda config: pytest.fail("simulated"))
         path = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(
             ["simulate", "--scheme", "wait-for-all", "--lambda", "1", "--n", "3",

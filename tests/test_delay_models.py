@@ -50,10 +50,6 @@ class TestModels:
         # mixture second moment 2*sum(w/r^2) minus squared mean
         assert hyper.variance() == pytest.approx(2 * (0.4 + 0.6 / 36) - 0.25)
 
-    def test_sample_delay_scalar(self):
-        x = ShiftedExponential(1.0, 2.0).sample(RandomStream(11))
-        assert isinstance(x, float) and x >= 2.0
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -64,6 +60,8 @@ class TestModels:
             lambda: HyperExponential((1.0, 2.0), (0.5, 0.4)),
             lambda: HyperExponential((1.0,), (0.5, 0.5)),
             lambda: HyperExponential((), ()),
+            # sums to 1 with a negative weight
+            lambda: HyperExponential((1.0, 2.0), (1.5, -0.5)),
         ],
     )
     def test_invalid_models_rejected(self, bad):
@@ -94,8 +92,6 @@ class _ScriptedGenerator:
         self._values = iter(values)
 
     def random(self, size=None, out=None):
-        if size is None and out is None:
-            return next(self._values)
         target = np.empty(size) if out is None else out
         flat = target.reshape(-1)
         for i in range(flat.size):
@@ -135,13 +131,6 @@ class TestSamplersBitIdentical:
         assert model.sample(RandomStream(seed, 4), out=out) is out
         assert same_bits(out, expected)
 
-    @pytest.mark.parametrize("model, reference", SAMPLERS, ids=SAMPLER_IDS)
-    def test_scalar_draw_is_a_numpy_float(self, model, reference):
-        for seed in range(5):
-            draw = model.sample(RandomStream(seed))
-            assert type(draw) is np.float64
-            assert same_bits(draw, reference(model, RandomStream(seed)))
-
     def test_consecutive_draws_into_one_buffer_follow_the_stream(self):
         model = HyperExponential((1.0, 6.0), (0.4, 0.6))
         stream, reference_stream = RandomStream(12), RandomStream(12)
@@ -163,9 +152,6 @@ class TestSamplersBitIdentical:
         drawn = model.sample(_ScriptedStream(comp_u + value_u), (2, 3))
         assert same_bits(drawn, expected)
         assert drawn[0, 1] == pytest.approx(-math.log1p(-0.25) / 3.0, rel=1e-12)
-        scalar = model.sample(_ScriptedStream([high, 0.5]))
-        assert same_bits(scalar, reference_hyper_sample(model, _ScriptedStream([high, 0.5])))
-        assert scalar == pytest.approx(-math.log1p(-0.5) / 3.0, rel=1e-12)
 
 
 class TestRandomStream:
@@ -317,7 +303,8 @@ class TestOrderStatMoments:
         assert m.variance == pytest.approx(1.25)
         assert m.second_moment == pytest.approx(3.5)
 
-    @pytest.mark.parametrize("rate,shift,k,n", [(1, 0, 0, 2), (1, 0, 3, 2), (0, 0, 1, 1), (-2, 0, 1, 1), (1, -1, 1, 1)])
+    @pytest.mark.parametrize("rate,shift,k,n", [(1, 0, 0, 2), (1, 0, 3, 2), (0, 0, 1, 1),
+                                                (-2, 0, 1, 1), (1, -1, 1, 1), (1, 0, 0, 0)])
     def test_rejects_bad_parameters(self, rate, shift, k, n):
         with pytest.raises(ValueError):
             order_stat_moments(rate, shift, k, n)

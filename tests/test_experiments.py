@@ -25,8 +25,8 @@ from multicast_aoi import (
     run_validation,
 )
 from multicast_aoi.cli import csv_text, json_text, main, table
-from multicast_aoi.delay_models import ShiftedExponential
-from multicast_aoi.experiments import CSV_COLUMNS
+from multicast_aoi.delay_models import HyperExponential, ShiftedExponential
+from multicast_aoi.experiments import CSV_COLUMNS, _point_seed, simulate_point
 
 
 def rows_to_csv_text(rows):
@@ -45,7 +45,7 @@ def fig4_rows():
 
 @pytest.fixture(scope="module")
 def fig5_rows():
-    return run_fig5(k_step=20, rounds=8_000, warmup=500, seed=505, rates=(0.5, 1.0))
+    return run_fig5(k_step=20, rounds=8_000, warmup=500, seed=505)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,41 @@ class TestRunSweep:
         assert run_sweep(points, rounds=500, warmup=50, seed=11) == rows
         # a point's seed depends on its position alone
         assert run_sweep(points[:1], rounds=500, warmup=50, seed=11) == rows[:1]
+
+    @staticmethod
+    def figure_points(figure):
+        """Each figure's point list, in order, written out from its description."""
+        if figure == "fig4":
+            return [(model, "earliest_k", 100, k)
+                    for model in (ShiftedExponential(2.0, 0.0),
+                                  HyperExponential((1.0, 6.0), (0.4, 0.6)))
+                    for k in (1, 51, 100)]
+        if figure == "fig5":
+            return [(ShiftedExponential(rate, 1.0), scheme, 100, k)
+                    for rate, kstar in ((0.5, 62), (1.0, 73), (2.0, 83))
+                    for scheme in ("earliest_k", "preselected_k")
+                    for k in sorted({1, 51, 100, kstar})]
+        return [(ShiftedExponential(1.0, 1.0), "earliest_k", n, k)
+                for n, k in ((1, 1), (4, 3), (9, 7))]
+
+    @pytest.mark.parametrize("figure, run", [
+        ("fig4", lambda **run: run_fig4(k_step=50, **run)),
+        ("fig5", lambda **run: run_fig5(k_step=50, **run)),
+        ("fig6", lambda **run: run_fig6(n_values=(1, 4, 9), **run)),
+    ], ids=["fig4", "fig5", "fig6"])
+    def test_a_row_can_be_rerun_alone(self, figure, run):
+        # point i of a figure is seeded with _point_seed(seed, i) over the
+        # figure's whole point list; fig5 once seeded each rate apart
+        seed, rounds, warmup = 31, 2_000, 100
+        rows = run(rounds=rounds, warmup=warmup, seed=seed)
+        points = self.figure_points(figure)
+        index = {(model.label(), scheme, n, k): i
+                 for i, (model, scheme, n, k) in enumerate(points)}
+        assert len(rows) == len(points)
+        for row in rows:
+            i = index[row.model, row.scheme, row.n, row.k]
+            _, alone = simulate_point(*points[i], rounds, warmup, _point_seed(seed, i))
+            assert repr(alone) == repr(row)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):

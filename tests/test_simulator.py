@@ -83,6 +83,16 @@ class TestRunRound:
         with pytest.raises(ValueError):
             run_round(PreSelectedK(1), [0.1, 0.2])
 
+    @pytest.mark.parametrize("policy, delays, group, message", [
+        (WaitForAll(), np.full(5, 0.5), None,
+         r"delays must be a \(rounds, n\) matrix, got shape \(5,\)"),
+        (PreSelectedK(2), np.full((4, 5), 0.5), [0, 1, 2],
+         r"group must have shape \(2,\), got \(3,\)"),
+    ])
+    def test_malformed_arrays_rejected(self, policy, delays, group, message):
+        with pytest.raises(ValueError, match=message):
+            run_rounds(policy, delays, group=group)
+
 
 class TestRunRounds:
     @settings(max_examples=40, deadline=None)
@@ -913,8 +923,14 @@ class TestFailureModes:
             SimConfig(n=2, policy=EarliestK(1), model=model, updates=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(n=2, policy=EarliestK(1), model=model, updates=100, warmup=-1, seed=1)
+        with pytest.raises(ValueError, match="replications must be >= 1, got 0"):
+            SimConfig(n=2, policy=EarliestK(1), model=model, updates=100, seed=1,
+                      replications=0)
         with pytest.raises(ValueError):
             PreSelectedK(2, regroup="sometimes")
+        for policy in (EarliestK, PreSelectedK):
+            with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+                policy(0)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
                 SimConfig(n=2, policy=EarliestK(1), model=model, updates=100, seed=seed)
