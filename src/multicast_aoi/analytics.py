@@ -17,6 +17,7 @@ import numpy as np
 
 from .delay_models import (
     _check_kn,
+    _check_n,
     _check_rate_shift,
     _tail_sums,
     harmonic,
@@ -155,8 +156,7 @@ def age_wait_for_all(rate: float, shift: float, n: int) -> AgeResult:
     with true harmonic sums (c is the shift).
     """
     _check_rate_shift(rate, shift)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     hn = harmonic(n)
     h2n = harmonic2(n)
     return _result(
@@ -328,11 +328,16 @@ def age_preselected_k_process(rate: float, shift: float, n: int, k: int) -> AgeR
 
 
 def age_preselected_k_approx(rate: float, shift: float, n: int, k: int) -> AgeResult:
-    """Approximate pre-selected-k age that drops the variance-ratio term.
+    """Approximate pre-selected-k age: a delta1 term plus the interval term.
 
     ``shift + 1/rate + ((n-k)/(rate k n)) (H_{k+1} - 1)
     + ((2n - k + nk)/(2(k + nk))) (shift + H_k/rate)``.
-    Loose for small n; quantify against :func:`age_preselected_k`.
+    The interval term is that of :func:`age_preselected_k`, and there is no
+    variance-ratio term.  The delta1 term is not the published one: the
+    published delta1 subtracts ``((n-k)/(rate k n)) (H_{k+1} - 1)`` from
+    ``shift + 1/rate`` where this one adds it, so the two sum to exactly
+    ``2 (shift + 1/rate)``.  Loose for small n; quantify against
+    :func:`age_preselected_k`.
     """
     _check_rate_shift(rate, shift)
     _check_kn(k, n)
@@ -372,8 +377,7 @@ def optimal_alpha(rate: float, shift: float) -> float:
 
 def optimal_k_closed_form(rate: float, shift: float, n: int) -> int:
     """Nearest-integer threshold ``round(alpha* n)`` clamped to [1, n]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     k = int(math.floor(optimal_alpha(rate, shift) * n + 0.5))
     return min(max(k, 1), n)
 
@@ -406,8 +410,7 @@ def optimal_k_exact(rate: float, shift: float, n: int) -> tuple[int, AgeResult]:
     from :func:`age_earliest_k` at the minimizer.
     """
     _check_rate_shift(rate, shift)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     best_k, best_age = 1, math.inf
     t1 = e1 = t2 = e2 = 0.0
     # Ages out of floating-point range become inf here, without warnings;

@@ -385,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--regroup", choices=("per-update", "fixed"), default=None,
                    help="pre-selected-k only: redraw the group per update (default) "
-                   "or keep one; a kept group of k < n shows no exact or approximate "
-                   "age, since both describe per-update regrouping")
+                   "or keep nodes 0..k-1 as the group; a kept group of k < n shows no "
+                   "exact or approximate age, since both describe per-update regrouping")
 
     p = command("optimize", _optimize, "age-minimizing stopping threshold")
     _add_model_flags(p)

@@ -294,9 +294,13 @@ class OrderStatMoments(NamedTuple):
     n: int
 
 
-def _check_kn(k: int, n: int) -> None:
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _check_kn(k: int, n: int) -> None:
+    _check_n(n)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
 

@@ -202,6 +202,8 @@ def _sorted(rows: list[SweepRow]) -> list[SweepRow]:
 
 
 def _k_values(n: int, step: int, extra: Sequence[int] = ()) -> tuple:
+    if step < 1:
+        raise ValueError(f"k step must be >= 1, got {step}")
     values = set(range(1, n + 1, step)) | {1, n} | set(extra)
     return tuple(sorted(values))
 

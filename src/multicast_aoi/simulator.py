@@ -14,7 +14,8 @@ and credits the rounds, with no loop over nodes.
 Earliest-k and per-update pre-selected rounds share one resolve: a sorted
 copy of each row, from which earliest-k reads its k-th smallest delay, and
 pre-selected the delay of its group's slowest member, whose rank is drawn
-without ever drawing the group (see :func:`run_rounds`).  A block is
+without ever drawing the group (see :func:`run_rounds`).  A kept group is
+nodes 0..k-1: the links are i.i.d., so any k nodes would do.  A block is
 credited on one of two paths, chosen by the share of its (round, node)
 pairs that miss the update.  With few misses, as when the policy waits for
 all n nodes or for a pre-selected group of most of them, each node's age
@@ -48,7 +49,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .delay_models import DelayModel, RandomStream, _check_seed
+from .delay_models import DelayModel, RandomStream, _check_kn, _check_seed
 
 __all__ = [
     "WaitForAll",
@@ -71,8 +72,6 @@ _CHUNK_ELEMENTS = 4_000_000
 # policy: at n = 100, 2**15 was fastest for every policy, 2**18-element
 # slices ran 1.04-1.2x slower and 2**13 1.1-1.2x; at n = 200, 2**16-2**17
 # were up to 4% faster for earliest-k and 2**15 fastest for the others.
-# (The 1.6-2x once seen for wait-for-all at 2**18 came from the page faults
-# of fresh allocations in every slice.)
 _SLICE_ELEMENTS = 1 << 15
 # A chunk in which at most this share of the (round, node) pairs miss the
 # update is credited round by round, any other by its deliveries.  Same VM,
@@ -111,8 +110,9 @@ class PreSelectedK:
 
     Non-group nodes still receive the update whenever their delay beats
     the group's slowest member.  ``regroup`` controls whether the group is
-    redrawn for every update (``per_update``, the analyzed mode) or drawn
-    once and kept (``fixed``).  A per-update group is never drawn node by
+    redrawn for every update (``per_update``, the analyzed mode) or kept
+    (``fixed``).  A kept group is nodes 0..k-1: with i.i.d. links any k
+    nodes give the same law.  A per-update group is never drawn node by
     node: only the rank of its slowest member matters, and that rank has a
     law of its own (see :func:`run_rounds`).
     """
@@ -133,12 +133,10 @@ StoppingPolicy = Union[WaitForAll, EarliestK, PreSelectedK]
 
 
 def _policy_threshold(policy: StoppingPolicy, n: int) -> int:
-    """Acknowledgement count the policy waits for; validates k <= n."""
-    if isinstance(policy, WaitForAll):
-        return n
-    if policy.k > n:
-        raise ValueError(f"policy waits for k={policy.k} acks but only n={n} nodes exist")
-    return policy.k
+    """Acknowledgement count the policy waits for; validates 1 <= k <= n."""
+    k = n if isinstance(policy, WaitForAll) else policy.k
+    _check_kn(k, n)
+    return k
 
 
 class _Workspace:
@@ -180,19 +178,19 @@ def run_rounds(
     policy: StoppingPolicy,
     delays: np.ndarray,
     group_stream: Optional[RandomStream] = None,
-    group: Optional[np.ndarray] = None,
     workspace: Optional[_Workspace] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve many update rounds at once.
 
     ``delays`` has shape (rounds, n).  Returns ``(y, delivered)`` where
     ``y[j]`` is round j's duration and ``delivered[j]`` is the boolean
-    delivery mask.  Ties are broken toward the lowest node index.  For a
-    pre-selected policy, ``group`` (k node indices) may fix the group of
-    every round; otherwise per-update groups come from ``group_stream``,
-    one uniform per round, and are never materialized.  Ranking a round's
-    delays (ties by node index), the slowest member of a uniform k-group
-    drawn independently of the delays has rank R with
+    delivery mask.  Ties are broken toward the lowest node index.  A
+    pre-selected policy with ``regroup="fixed"`` keeps the group of nodes
+    0..k-1 in every round and draws nothing; with ``per_update`` the groups
+    come from ``group_stream``, one uniform per round, and are never
+    materialized.  Ranking a round's delays (ties by node index), the
+    slowest member of a uniform k-group drawn independently of the delays
+    has rank R with
     P(R = r) = C(r-1, k-1)/C(n, k), r = k..n, whatever the delays are; so
     the R-th smallest delay as ``y`` gives ``(y, delivered)`` the law of an
     explicit group, ties included.  Without a ``workspace`` the caller owns
@@ -219,19 +217,11 @@ def run_rounds(
         delivered.fill(True)
         return y, delivered
 
-    if isinstance(policy, PreSelectedK) and group is not None:
-        # Indexing a range checks the bounds and wraps negative indices.
-        group = np.arange(n)[np.asarray(group)]
-        if group.shape != (k,):
-            raise ValueError(f"group must have shape ({k},), got {group.shape}")
-        # The indices are in range, so take needs no bounds check (and no
-        # buffering).
-        members = np.take(delays, group, axis=1, out=ws.array("members", (rounds, k)),
-                          mode="clip")
-        y = members.max(axis=1)
+    if isinstance(policy, PreSelectedK) and policy.regroup == "fixed":
+        y = delays[:, :k].max(axis=1)
     else:
         if isinstance(policy, PreSelectedK) and group_stream is None:
-            raise ValueError("pre-selected policy needs a group_stream or a fixed group")
+            raise ValueError("per-update pre-selected policy needs a group_stream")
         # A full in-place sort of the rows is faster here than a partition
         # for earliest-k's k-th smallest delay, and gives the same value.
         ordered = ws.array("sorted", (rounds, n))
@@ -274,8 +264,7 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _policy_threshold(self.policy, self.n)
         if self.updates < 100:
             raise ValueError(
                 f"at least 100 measured updates are needed to report statistics, "
@@ -286,7 +275,6 @@ class SimConfig:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         _check_seed(self.seed)
-        _policy_threshold(self.policy, self.n)
 
 
 @dataclass(frozen=True)
@@ -488,11 +476,6 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     model = config.model
     delay_stream = RandomStream(config.seed, 2 * replication)
     group_stream = RandomStream(config.seed, 2 * replication + 1)
-
-    fixed_group = None
-    if isinstance(policy, PreSelectedK) and policy.regroup == "fixed" and policy.k < n:
-        fixed_group = group_stream.generator.permuted(np.arange(n))[: policy.k]
-
     last_wall, last_gen, area, span = np.zeros((4, n))
     count = np.zeros(n, dtype=np.int64)
     t = 0.0
@@ -511,9 +494,7 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
 
     for b, r in chunks:
         delays = model.sample(delay_stream, out=ws.array("delays", (r, n)))
-        y, delivered = run_rounds(
-            policy, delays, group_stream=group_stream, group=fixed_group, workspace=ws
-        )
+        y, delivered = run_rounds(policy, delays, group_stream=group_stream, workspace=ws)
         cs = np.cumsum(y)
         # Start of each round, then the end of the chunk.
         t_edges = t + np.concatenate(([0.0], cs))

@@ -24,11 +24,13 @@ def run_round(
     policy: StoppingPolicy,
     delays,
     group_stream: Optional[RandomStream] = None,
-    group=None,
 ) -> tuple[float, frozenset]:
-    """Resolve a single update round; returns ``(y, delivered node indices)``."""
+    """Resolve a single update round; returns ``(y, delivered node indices)``.
+
+    A kept pre-selected group is nodes 0..k-1, as in the engine.
+    """
     row = np.atleast_2d(np.asarray(delays, dtype=float))
-    y, delivered = run_rounds(policy, row, group_stream=group_stream, group=group)
+    y, delivered = run_rounds(policy, row, group_stream=group_stream)
     return float(y[0]), frozenset(int(i) for i in np.flatnonzero(delivered[0]))
 
 

@@ -156,6 +156,14 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             run_sweep(points, rounds=500, warmup=50, seed=seed)
 
+    @pytest.mark.parametrize("step", [0, -1])
+    @pytest.mark.parametrize("run", [run_fig4, run_fig5], ids=["fig4", "fig5"])
+    def test_k_step_below_one_rejected(self, run, step, monkeypatch):
+        # rejected before any point is simulated
+        monkeypatch.setattr("multicast_aoi.experiments.replicate", None)
+        with pytest.raises(ValueError, match=f"k step must be >= 1, got {step}$"):
+            run(k_step=step, rounds=500, warmup=50)
+
 
 class TestValidationGrid:
     def test_default_grid_passes(self, default_report):

@@ -46,7 +46,7 @@ class TestRunRound:
         assert y == 0.9 and delivered == {0, 1, 2}
 
     def test_preselected_bystander_beats_group(self):
-        y, delivered = run_round(PreSelectedK(1), [0.7, 0.3, 0.9], group=[0])
+        y, delivered = run_round(PreSelectedK(1, "fixed"), [0.7, 0.3, 0.9])
         assert y == 0.7 and delivered == {0, 1}
 
     def test_tie_goes_to_lowest_index(self):
@@ -70,28 +70,35 @@ class TestRunRound:
         assert y == 0.5 and delivered == {0, 1, 2}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(1), PreSelectedK(1)])
+    @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(1), PreSelectedK(1, "fixed")])
     def test_non_finite_delays_rejected(self, bad, policy):
         with pytest.raises(ValueError, match="finite"):
-            run_round(policy, [0.1, bad, 0.3], group=[0])
+            run_round(policy, [0.1, bad, 0.3])
         delays = np.full((4, 3), 0.5)
         delays[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            run_rounds(policy, delays, group=np.array([0]))
+            run_rounds(policy, delays)
 
     def test_preselected_needs_group_source(self):
         with pytest.raises(ValueError):
             run_round(PreSelectedK(1), [0.1, 0.2])
 
-    @pytest.mark.parametrize("policy, delays, group, message", [
-        (WaitForAll(), np.full(5, 0.5), None,
+    @pytest.mark.parametrize("policy, delays, message", [
+        (WaitForAll(), np.full(5, 0.5),
          r"delays must be a \(rounds, n\) matrix, got shape \(5,\)"),
-        (PreSelectedK(2), np.full((4, 5), 0.5), [0, 1, 2],
-         r"group must have shape \(2,\), got \(3,\)"),
     ])
-    def test_malformed_arrays_rejected(self, policy, delays, group, message):
+    def test_malformed_arrays_rejected(self, policy, delays, message):
         with pytest.raises(ValueError, match=message):
-            run_rounds(policy, delays, group=group)
+            run_rounds(policy, delays)
+
+    def test_kept_group_is_the_first_k_nodes(self):
+        # the group stream is neither needed nor read
+        delays = ShiftedExponential(1.0, 0.5).sample(RandomStream(6), (400, 5))
+        stream = RandomStream(7)
+        y, delivered = run_rounds(PreSelectedK(2, "fixed"), delays, group_stream=stream)
+        np.testing.assert_array_equal(y, np.maximum(delays[:, 0], delays[:, 1]))
+        np.testing.assert_array_equal(delivered, delays <= y[:, None])
+        assert stream.generator.random() == RandomStream(7).generator.random()
 
 
 class TestRunRounds:
@@ -106,15 +113,10 @@ class TestRunRounds:
         k = data.draw(st.integers(min_value=1, max_value=n))
         rng = np.random.default_rng(seed)
         delays = rng.random((rounds, n))
-        fixed = rng.permutation(n)[:k]
-        for policy, group in (
-            (WaitForAll(), None),
-            (EarliestK(k), None),
-            (PreSelectedK(k), fixed),
-        ):
-            y, delivered = run_rounds(policy, delays, group=group)
+        for policy in (WaitForAll(), EarliestK(k), PreSelectedK(k, "fixed")):
+            y, delivered = run_rounds(policy, delays)
             for j in range(rounds):
-                y_one, delivered_one = run_round(policy, delays[j], group=group)
+                y_one, delivered_one = run_round(policy, delays[j])
                 assert y[j] == y_one
                 assert frozenset(np.flatnonzero(delivered[j])) == delivered_one
 
@@ -130,16 +132,15 @@ class TestRunRounds:
         rows = data.draw(
             st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=12)
         )
-        group = data.draw(st.permutations(range(n)))[:k]
         delays = np.array(rows, dtype=float)
         y, delivered = run_rounds(EarliestK(k), delays)
         for j, row in enumerate(rows):
             first_k = sorted((delay, index) for index, delay in enumerate(row))[:k]
             assert y[j] == first_k[-1][0]
             assert set(np.flatnonzero(delivered[j])) == {index for _, index in first_k}
-        y, delivered = run_rounds(PreSelectedK(k), delays, group=np.array(group))
+        y, delivered = run_rounds(PreSelectedK(k, "fixed"), delays)
         for j, row in enumerate(rows):
-            slowest = max(row[i] for i in group)
+            slowest = max(row[:k])
             assert y[j] == slowest
             assert set(np.flatnonzero(delivered[j])) == {i for i in range(n) if row[i] <= slowest}
         y, delivered = run_rounds(WaitForAll(), delays)
@@ -177,12 +178,14 @@ class TestSlowestRankDraw:
         "row, k", [([0, 1, 1, 3, 1], 2), ([2, 0, 2, 2, 1], 3), ([1, 1, 0, 1, 1], 1)]
     )
     def test_outcome_frequencies_with_ties(self, row, k):
-        # exact law of (y, delivered set) from all C(5, k) explicit groups
+        # exact law of (y, delivered set) from all C(5, k) explicit groups,
+        # each resolved as a kept group by moving its nodes to the front
         exact = {}
         groups = list(itertools.combinations(range(5), k))
         for group in groups:
-            y, delivered = run_round(PreSelectedK(k), row, group=list(group))
-            key = (y, tuple(sorted(delivered)))
+            order = list(group) + [i for i in range(5) if i not in group]
+            y, delivered = run_round(PreSelectedK(k, "fixed"), [row[i] for i in order])
+            key = (y, tuple(sorted(order[i] for i in delivered)))
             exact[key] = exact.get(key, 0) + Fraction(1, len(groups))
         rounds = 200_000
         delays = np.tile(np.array(row, dtype=float), (rounds, 1))
@@ -248,8 +251,9 @@ class TestAccumulateDelivery:
 def reference_simulate(config):
     """Scalar re-implementation of the engine from the public primitives.
 
-    Returns the per-node averages, the delivery fractions, the virtual time
-    and the batch means: the measured updates fall into
+    A kept pre-selected group is nodes 0..k-1 and draws nothing from the
+    group stream.  Returns the per-node averages, the delivery fractions,
+    the virtual time and the batch means: the measured updates fall into
     ``max(1, min(32, updates // 50))`` batches of consecutive rounds, the
     first ``updates % batches`` of them one round longer, and each delivery
     is credited to the batch of its round.  A batch mean is the batch's
@@ -258,10 +262,6 @@ def reference_simulate(config):
     n = config.n
     delay_stream = RandomStream(config.seed, 0)
     group_stream = RandomStream(config.seed, 1)
-    fixed_group = None
-    if isinstance(config.policy, PreSelectedK) and config.policy.regroup == "fixed":
-        if config.policy.k < n:
-            fixed_group = group_stream.generator.permuted(np.arange(n))[: config.policy.k]
     total = config.warmup + config.updates
     delays = config.model.sample(delay_stream, (total, n))
     states = [NodeAgeState() for _ in range(n)]
@@ -279,9 +279,7 @@ def reference_simulate(config):
                 s.area = 0.0
                 s.observed_span = 0.0
             counts[:] = 0
-        y, delivered = run_round(
-            config.policy, delays[j], group_stream=group_stream, group=fixed_group
-        )
+        y, delivered = run_round(config.policy, delays[j], group_stream=group_stream)
         for i in delivered:
             area, span = states[i].area, states[i].observed_span
             accumulate_delivery(states[i], t + delays[j, i], t)
@@ -444,8 +442,8 @@ class TestAccumulationPaths:
             (EarliestK(2), [[1, 1, 2, 0], [2, 2, 2, 2], [0, 1, 1, 1], [3, 1, 3, 3],
                             [1, 0, 0, 1], [2, 1, 2, 2]], [2, 4]),
             # zero delays, and a round that lasts no time at all
-            (PreSelectedK(2), [[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 2, 0], [0, 2, 0, 0],
-                               [0, 0, 0, 3]], [3]),
+            (PreSelectedK(2, "fixed"), [[0, 1, 0, 0], [0, 0, 0, 0], [1, 2, 0, 0],
+                                        [0, 0, 2, 0], [0, 0, 0, 3]], [3]),
             # node 3 receives nothing; node 2 nothing in the first slice
             (EarliestK(1), [[0.4, 0.2, 0.9, 5.0], [0.3, 0.8, 0.6, 5.0], [0.2, 0.7, 0.9, 5.0],
                             [0.9, 0.5, 0.1, 5.0], [0.8, 0.6, 0.3, 5.0]], [3]),
@@ -453,8 +451,9 @@ class TestAccumulationPaths:
             (EarliestK(1), [[0.3, 0.5, 0.2, 0.9], [0.1, 0.5, 0.6, 0.9], [0.4, 0.2, 0.6, 0.9],
                             [0.5, 0.6, 0.7, 0.1], [0.8, 0.7, 0.1, 0.9], [0.2, 0.9, 0.5, 0.8]], []),
             # one-round slices
-            (PreSelectedK(2), [[0.5, 0.25, 1.5, 0.75], [2.0, 0.5, 0.25, 1.0],
-                               [0.75, 1.25, 1.0, 0.5], [1.0, 2.0, 0.5, 0.25]], [1, 2, 3]),
+            (PreSelectedK(2, "fixed"), [[0.5, 1.5, 0.25, 0.75], [2.0, 0.25, 0.5, 1.0],
+                                        [0.75, 1.0, 1.25, 0.5], [1.0, 0.5, 2.0, 0.25]],
+             [1, 2, 3]),
         ],
         ids=["ties_at_y", "zero_delays", "node_without_delivery", "runs_of_misses",
              "one_round_slices"],
@@ -462,7 +461,7 @@ class TestAccumulationPaths:
     @pytest.mark.parametrize("fresh", [False, True], ids=["carried_state", "fresh_state"])
     def test_both_paths_agree(self, policy, rows, cuts, fresh):
         delays = np.array(rows, dtype=float)
-        y, delivered = run_rounds(policy, delays, group=np.array([0, 2]))
+        y, delivered = run_rounds(policy, delays)
         if fresh:
             last_wall, last_gen = np.zeros((2, 4))
         else:
@@ -649,6 +648,22 @@ class TestOracleAgreement:
         )
         self.assert_close(config, age_wait_for_all(2, 1, 5).total)
 
+    @pytest.mark.parametrize("rate, shift, n, k", [(1, 1, 20, 7), (1, 1, 10, 2), (0.5, 1, 10, 3)])
+    def test_kept_group_members_age_as_wait_for_all(self, rate, shift, n, k):
+        # the members of a kept group, nodes 0..k-1, wait only for each other:
+        # they form a wait-for-all network of size k.  Their mean age over 20
+        # seeds against the exact age, by Student t with 19 degrees of
+        # freedom (two-sided 0.1% quantile 3.883)
+        members = [
+            replicate(SimConfig(n=n, policy=PreSelectedK(k, "fixed"),
+                                model=ShiftedExponential(rate, shift), updates=50_000,
+                                seed=seed)).per_node_avg_age[:k].mean()
+            for seed in range(20)
+        ]
+        exact = age_wait_for_all(rate, shift, k).total
+        t = (np.mean(members) - exact) / (np.std(members, ddof=1) / math.sqrt(len(members)))
+        assert abs(t) <= 3.883, t
+
     def test_hyperexponential_against_moment_fed_general_form(self):
         # the earliest-k decomposition holds for any delay law; feed it with
         # Monte Carlo order-statistic moments estimated from separate draws
@@ -723,11 +738,11 @@ class TestDeliveryStatistics:
             seed=23,
         )
         result = replicate(config)
-        fractions = np.sort(result.delivery_fraction)
-        # two group members at exactly 1; outsiders near k/(k+1)
-        assert fractions[-2:] == pytest.approx([1.0, 1.0])
+        fractions = result.delivery_fraction
+        # the members, nodes 0 and 1, at exactly 1; outsiders near k/(k+1)
+        assert fractions[:2].tolist() == [1.0, 1.0]
         sigma = math.sqrt((2 / 3) * (1 / 3) / config.updates)
-        assert np.all(np.abs(fractions[:-2] - 2 / 3) <= 5 * sigma)
+        assert np.all(np.abs(fractions[2:] - 2 / 3) <= 5 * sigma)
 
     def test_rounds_between_deliveries_geometric(self):
         n, k = 10, 3
@@ -757,8 +772,9 @@ class TestDeterminismAndAggregation:
 
     # grand mean, std error, virtual time and delivery counts of one run per
     # policy, recorded with the per-node engine loop (package version 0.2.0),
-    # per-update pre-selected with its rank draw (0.4.0): the random streams
-    # are pinned, only area sums may move in their last bits
+    # per-update pre-selected with its rank draw (0.4.0), the kept group as
+    # nodes 0..k-1 (0.8.0): the random streams are pinned, only area sums may
+    # move in their last bits
     PINNED = [
         (WaitForAll(), 3.747621505938757, 0.008019297591899382, 82013.51147343863, [20000] * 20),
         (
@@ -772,10 +788,10 @@ class TestDeterminismAndAggregation:
              18381, 18361, 18367, 18408, 18364, 18432, 18425, 18410, 18349, 18378],
         ),
         (
-            PreSelectedK(7, regroup="fixed"), 3.347345749964563, 0.006046426964641405,
-            62027.17930415022,
-            [17491, 20000, 17559, 20000, 17445, 17489, 17614, 17518, 20000, 17548,
-             17542, 20000, 17469, 20000, 17496, 17528, 20000, 20000, 17463, 17461],
+            PreSelectedK(7, regroup="fixed"), 3.332142143143662, 0.007565728319799246,
+            61768.146059561666,
+            [20000] * 7 + [17539, 17576, 17535, 17513, 17497, 17491, 17467, 17490, 17470,
+                           17577, 17476, 17478, 17469],
         ),
     ]
 
@@ -794,9 +810,10 @@ class TestDeterminismAndAggregation:
     # float.hex of grand mean, std error and virtual time of the runs above
     # (and a hyper-exponential earliest-k run), recorded with version 0.3.0,
     # per-update pre-selected with 0.4.0, std errors from per-batch sums with
-    # 0.6.1, wait-for-all's area credited round by round with 0.6.2, on
-    # x86-64 with numpy 2.4: no engine change that keeps every random stream
-    # and every crediting path may move a bit
+    # 0.6.1, wait-for-all's area credited round by round with 0.6.2, the kept
+    # group as nodes 0..k-1 with 0.8.0, on x86-64 with numpy 2.4: no engine
+    # change that keeps every random stream and every crediting path may move
+    # a bit
     PINNED_BITS = [
         (WaitForAll(), None,
          "0x1.dfb20fbee5878p+1", "0x1.06c6be7271fd4p-7", "0x1.405d82efec5bbp+16"),
@@ -805,7 +822,7 @@ class TestDeterminismAndAggregation:
         (PreSelectedK(7), None,
          "0x1.ab558424210fbp+1", "0x1.fb33d267f8d69p-8", "0x1.e44140711bae2p+15"),
         (PreSelectedK(7, regroup="fixed"), None,
-         "0x1.ac75d356404e6p+1", "0x1.8c4236121f30dp-8", "0x1.e4965bcdc0ea7p+15"),
+         "0x1.aa83a23d3672dp+1", "0x1.efd3dbb436a4bp-8", "0x1.e2904ac851a14p+15"),
         (EarliestK(7), HyperExponential((1.0, 6.0), (0.4, 0.6)),
          "0x1.65b1c1507099bp-2", "0x1.889eefe059b98p-10", "0x1.252fc72e296c4p+11"),
     ]
