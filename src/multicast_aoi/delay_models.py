@@ -13,6 +13,7 @@ delay per update.  Two delay families are supported:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -50,22 +51,40 @@ class RandomStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if int(self.stream_index) < 0:
-            raise ValueError(f"stream_index must be >= 0, got {self.stream_index}")
-        ss = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_index),)
-        )
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        index = _check_integer("stream_index", self.stream_index)
+        if index < 0:
+            raise ValueError(f"stream_index must be >= 0, got {index}")
+        object.__setattr__(self, "stream_index", index)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
         object.__setattr__(self, "_generator", np.random.Generator(np.random.PCG64(ss)))
 
     @property
     def generator(self) -> np.random.Generator:
         return self._generator  # type: ignore[attr-defined]
 
+    def skip(self, draws: int) -> None:
+        """Move the stream on as if ``draws`` uniforms had been drawn.
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= int(seed) < _MAX_SEED:
+        A uniform double takes one 64-bit output of PCG64, whose jump costs
+        O(log draws) steps whatever the count.
+        """
+        self.generator.bit_generator.advance(_check_integer("draws", draws))
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; Python and numpy integers pass, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed) -> int:
+    seed = _check_integer("seed", seed)
+    if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def _check_rate_shift(rate: float, shift: float) -> None:
@@ -107,6 +126,10 @@ class ShiftedExponential:
         np.log1p(u, out=u)
         np.divide(u, self.rate, out=u)
         return np.subtract(self.shift, u, out=u)
+
+    def skip(self, stream: RandomStream, count: int) -> None:
+        """Move ``stream`` past ``count`` delays: one uniform each, in order."""
+        stream.skip(count)
 
     def label(self) -> str:
         return f"shifted_exp(rate={self.rate:g},shift={self.shift:g})"
@@ -171,6 +194,15 @@ class HyperExponential:
             np.log1p(block, out=block)
             np.divide(block, negated_rates[comp], out=block)
         return out
+
+    def skip(self, stream: RandomStream, count: int) -> None:
+        """Move ``stream`` past ``count`` delays, two uniforms each.
+
+        A call draws all its component uniforms before its value uniforms,
+        so this matches the draws of :meth:`sample` only for whole calls:
+        ``count`` must end where a call would end.
+        """
+        stream.skip(2 * count)
 
     def label(self) -> str:
         r = "|".join(f"{x:g}" for x in self.rates)

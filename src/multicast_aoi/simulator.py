@@ -24,21 +24,29 @@ durations with the delays, plus one correction per miss.  Otherwise the
 block is cut into slices, and each slice's deliveries are picked out of
 its node-major copy into one flat array and credited as trapezoids between
 consecutive deliveries of a node.  Both paths leave the same state, up to
-the rounding of the area (see :func:`_credit_chunk`).  Warmup rounds are
-sampled and resolved like the others, so the random streams advance alike,
-but their sawtooth is not accounted: each node keeps only its last
-delivery, the state that the measured rounds start from.  Each run keeps
-one workspace of flat buffers that every block reuses: the delays are
-drawn into it, and resolution and accumulation work in it in place, so
-that a block costs no fresh pages.
+the rounding of the area (see :func:`_credit_chunk`).  Each run keeps one
+workspace of flat buffers that every block reuses: the delays are drawn
+into it, and resolution and accumulation work in it in place, so that a
+block costs no fresh pages.
 
-A run is one loop over a chunk list (the warmup, then each batch of
-measured rounds, each cut at ``chunk_rounds``) that adds each credited
-area and span and each chunk's duration into per-batch vectors.  The list
-fixes the random stream: a hyper-exponential call draws all its component
-uniforms before its values, and the rounding of the round start times
-``t_edges`` depends on where each chunk starts; so changing the list is a
-named stream change.
+The warmup's sawtooth is not accounted: all it hands the measured rounds
+is each node's last warmup delivery, the generation and arrival times of
+that update.  So the warmup is scanned from its end, in blocks that double
+going back (see :func:`_warmup_state`), and the scan stops as soon as
+every node has a delivery; a threshold policy usually needs one small
+block.  Each block draws from fresh streams jumped to its first round, and
+the measured rounds draw from streams jumped past the whole warmup: PCG64
+moves on any number of draws in O(log n) steps, and a delay model's
+``skip`` says how many draws its delays take.  Times are taken from the
+end of the warmup, where the measured rounds start at t = 0.
+
+A run is then one loop over a chunk list (each batch of measured rounds,
+cut at ``chunk_rounds``) that adds each credited area and span and each
+chunk's duration into per-batch vectors.  The layouts fix the random
+stream: a hyper-exponential call draws all its component uniforms before
+its values, so its draws depend on where the warmup blocks and the chunks
+start, and the rounding of the round start times ``t_edges`` depends on
+where each chunk starts; so changing a layout is a named stream change.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .delay_models import DelayModel, RandomStream, _check_kn, _check_seed
+from .delay_models import DelayModel, RandomStream, _check_integer, _check_kn, _check_seed
 
 __all__ = [
     "WaitForAll",
@@ -82,6 +90,16 @@ _SLICE_ELEMENTS = 1 << 15
 _DENSE_MISS_SHARE = 1 / 16
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 _MAX_BATCHES = 32
+# The newest warmup block, the one that a threshold policy usually needs
+# alone, has this many rounds; each older one twice as many as the next.
+_FIRST_WARMUP_BLOCK = 32
+
+
+def _check_k(k) -> int:
+    k = _check_integer("k", k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
 
 
 class SimulationError(RuntimeError):
@@ -100,8 +118,7 @@ class EarliestK:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _check_k(self.k))
 
 
 @dataclass(frozen=True)
@@ -121,8 +138,7 @@ class PreSelectedK:
     regroup: str = "per_update"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _check_k(self.k))
         if self.regroup not in _REGROUP_MODES:
             raise ValueError(
                 f"regroup must be one of {_REGROUP_MODES}, got {self.regroup!r}"
@@ -253,7 +269,16 @@ def run_rounds(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one simulation run."""
+    """Full description of one simulation run.
+
+    ``warmup`` rounds precede the ``updates`` measured ones; they are not
+    accounted, and only set the state (each node's last delivery) that the
+    measured rounds start from.  A node with no warmup delivery starts as
+    if an update generated at the warmup's start had reached it at once.
+    The warmup is drawn from its end only as far as that state needs, so a
+    long warmup usually costs no more than a short one.  Counts and the
+    seed must be integers.
+    """
 
     n: int
     policy: StoppingPolicy
@@ -264,6 +289,8 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
+        for name in ("n", "updates", "seed", "warmup", "replications"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         _policy_threshold(self.policy, self.n)
         if self.updates < 100:
             raise ValueError(
@@ -450,45 +477,85 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, area, spa
     return float(added_area.sum()), float(added_span.sum())
 
 
-def _keep_last_deliveries(
-    t_prev: np.ndarray,
-    delays: np.ndarray,
-    delivered: np.ndarray,
-    last_wall: np.ndarray,
-    last_gen: np.ndarray,
-) -> None:
-    """Move each node's state to its last delivery in a block of warmup rounds.
+def _warmup_blocks(warmup: int, n: int):
+    """``(first round, rounds)`` of each warmup block, newest first.
 
-    The state is what :func:`_credit_chunk` leaves, formed by the same
-    float operations, without its area, span and count.
+    The blocks end at the warmup's last round and double in size going
+    back, from ``_FIRST_WARMUP_BLOCK`` rounds, each capped at a chunk of
+    ``_CHUNK_ELEMENTS``; the oldest block holds what is left.  The layout
+    depends on ``(warmup, n)`` alone, so it fixes where a hyper-exponential
+    warmup's sampling calls start.
     """
-    rounds, n = delays.shape
-    row = rounds - 1 - np.argmax(delivered[::-1], axis=0)
-    nodes = np.flatnonzero(delivered[row, np.arange(n)])
-    row = row[nodes]
-    last_gen[nodes] = t_prev[row]
-    last_wall[nodes] = t_prev[row] + delays[row, nodes]
+    cap = max(1, _CHUNK_ELEMENTS // n)
+    end, size = warmup, _FIRST_WARMUP_BLOCK
+    while end > 0:
+        rounds = min(size, cap, end)
+        end -= rounds
+        size *= 2
+        yield end, rounds
+
+
+def _streams(config: SimConfig, replication: int, rounds: int):
+    """The delay and group streams of a replication, moved past ``rounds`` rounds."""
+    delay_stream = RandomStream(config.seed, 2 * replication)
+    group_stream = RandomStream(config.seed, 2 * replication + 1)
+    config.model.skip(delay_stream, rounds * config.n)
+    group_stream.skip(rounds)
+    return delay_stream, group_stream
+
+
+def _warmup_state(config: SimConfig, replication: int, ws: _Workspace):
+    """Each node's last warmup delivery, as ``(last_wall, last_gen)``.
+
+    Times are relative to the end of the warmup, where the measured rounds
+    start.  Only that state survives the warmup, so it is built from the
+    warmup's end: block by block, newest first (:func:`_warmup_blocks`),
+    each sampled and resolved from fresh streams moved to its first round,
+    until every node has a delivery or round 0 has been scanned.  A node
+    with no warmup delivery keeps the state of the warmup's start.
+    """
+    n = config.n
+    last_wall, last_gen = np.zeros((2, n))
+    pending = np.ones(n, bool)
+    end = 0.0  # the end of the block
+    for first, rounds in _warmup_blocks(config.warmup, n):
+        delay_stream, group_stream = _streams(config, replication, first)
+        delays = config.model.sample(delay_stream, out=ws.array("delays", (rounds, n)))
+        y, delivered = run_rounds(config.policy, delays, group_stream=group_stream, workspace=ws)
+        # From the start of each round to the end of the block.
+        to_end = np.cumsum(y[::-1])[::-1]
+        row = rounds - 1 - np.argmax(delivered[::-1], axis=0)
+        nodes = np.flatnonzero(pending & delivered[row, np.arange(n)])
+        row = row[nodes]
+        last_gen[nodes] = end - to_end[row]
+        last_wall[nodes] = last_gen[nodes] + delays[row, nodes]
+        pending[nodes] = False
+        end -= to_end[0]
+        if not pending.any():
+            return last_wall, last_gen
+    last_wall[pending] = last_gen[pending] = end
+    return last_wall, last_gen
 
 
 def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     n = config.n
     policy = config.policy
     model = config.model
-    delay_stream = RandomStream(config.seed, 2 * replication)
-    group_stream = RandomStream(config.seed, 2 * replication + 1)
-    last_wall, last_gen, area, span = np.zeros((4, n))
+    ws = _Workspace()
+    last_wall, last_gen = _warmup_state(config, replication, ws)
+    delay_stream, group_stream = _streams(config, replication, config.warmup)
+    area, span = np.zeros((2, n))
     count = np.zeros(n, dtype=np.int64)
     t = 0.0
-    ws = _Workspace()
     chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
 
     batches = max(1, min(_MAX_BATCHES, config.updates // 50))
     base, extra = divmod(config.updates, batches)
-    # (batch, rounds) of every chunk: the warmup as batch -1, then each batch,
-    # each cut into pieces of at most chunk_rounds.
-    lengths = [config.warmup] + [base + (b < extra) for b in range(batches)]
+    # (batch, rounds) of every chunk: each batch cut into pieces of at most
+    # chunk_rounds.
+    lengths = [base + (b < extra) for b in range(batches)]
     chunks = [(b, min(chunk_rounds, rounds - done))
-              for b, rounds in enumerate(lengths, -1)
+              for b, rounds in enumerate(lengths)
               for done in range(0, rounds, chunk_rounds)]
     batch_area, batch_span, batch_time = np.zeros((3, batches))
 
@@ -498,15 +565,12 @@ def _simulate_single(config: SimConfig, replication: int) -> SimResult:
         cs = np.cumsum(y)
         # Start of each round, then the end of the chunk.
         t_edges = t + np.concatenate(([0.0], cs))
-        if b < 0:
-            _keep_last_deliveries(t_edges[:-1], delays, delivered, last_wall, last_gen)
-        else:
-            for added_area, added_span in _credit_chunk(
-                t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws
-            ):
-                batch_area[b] += added_area
-                batch_span[b] += added_span
-            batch_time[b] += float(cs[-1])
+        for added_area, added_span in _credit_chunk(
+            t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws
+        ):
+            batch_area[b] += added_area
+            batch_span[b] += added_span
+        batch_time[b] += float(cs[-1])
         t += float(cs[-1])
 
     starved = np.flatnonzero((count == 0) | (span <= 0.0))

@@ -240,6 +240,36 @@ class TestPreselectedKApprox:
         assert age_preselected_k(1.0, 0.0, 1, 1).total == pytest.approx(2.0)
 
 
+class TestDelta1Bound:
+    """delta1 is the mean delay of a delivered update, at most ``c + 1/lambda``.
+
+    A group member's delay has mean ``c + 1/lambda``; a bystander is
+    delivered only when it beats the group's slowest member, so its
+    delivered delay has a smaller mean.  The bound needs no paper text.
+    """
+
+    @pytest.mark.parametrize("age", [age_preselected_k, age_preselected_k_process])
+    @pytest.mark.parametrize("k, delta1", [(1, (1.025, 1.048)), (7, (1.340, 1.348)),
+                                           (19, (1.493, 1.493)), (20, (1.5, 1.5))])
+    def test_exact_forms_obey_the_bound(self, age, k, delta1):
+        got = age(1.0, 0.5, 20, k).breakdown["delta1"]
+        exact = delta1[age is age_preselected_k_process]
+        assert got == pytest.approx(exact, abs=5e-4)
+        assert got <= 1.5 * (1 + 1e-15)
+
+    def test_approximation_breaches_the_bound(self):
+        # A reproduction finding, asserted so that it stays visible: the
+        # approximation adds the bystander term that the published delta1
+        # subtracts (see age_preselected_k_approx), which puts it above the
+        # bound at every k < n.  The paper's text, which could settle the
+        # sign, is not at hand, so the approximation is left as it is.
+        delta1 = [age_preselected_k_approx(1.0, 0.5, 20, k).breakdown["delta1"]
+                  for k in range(1, 21)]
+        assert all(d > 1.5 for d in delta1[:-1])
+        assert delta1[-1] == 1.5
+        assert [round(delta1[k - 1], 3) for k in (1, 7, 19)] == [1.975, 1.660, 1.507]
+
+
 class TestOptimalThreshold:
     def test_alpha_values(self):
         assert optimal_alpha(1.0, 0.0) == 0.0

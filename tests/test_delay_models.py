@@ -140,6 +140,23 @@ class TestSamplersBitIdentical:
             model.sample(stream, out=view)
             assert same_bits(view, reference_hyper_sample(model, reference_stream, (rows, 50)))
 
+    @pytest.mark.parametrize("model, reference", SAMPLERS, ids=SAMPLER_IDS)
+    @pytest.mark.parametrize("rows", [1, 250])
+    def test_skip_lands_on_the_next_call(self, model, reference, rows):
+        # 250 rows of 40 are more than one of HyperExponential's blocks
+        drawn, skipped = RandomStream(8, 2), RandomStream(8, 2)
+        model.sample(drawn, (rows, 40))
+        model.skip(skipped, rows * 40)
+        assert same_bits(model.sample(skipped, (3, 40)), model.sample(drawn, (3, 40)))
+
+    @pytest.mark.parametrize("model", [ShiftedExponential(1.0, 1.0), ShiftedExponential(0.37)])
+    def test_shifted_skip_lands_anywhere_in_a_call(self, model):
+        # one uniform per delay, in element order: any count is a boundary
+        whole = model.sample(RandomStream(8, 2), (250, 40))
+        skipped = RandomStream(8, 2)
+        model.skip(skipped, 3 * 40 + 7)
+        assert same_bits(model.sample(skipped, 9), whole[3, 7:16])
+
     def test_uniform_above_the_last_cumulative_weight(self):
         # weights summing to 1 - 5e-13 leave room for a component uniform
         # above the last edge; it selects the last component

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +411,80 @@ class TestEngineMatchesScalarReference:
         assert len(chunks) == 8 and set(chunks) == paths
 
 
+class TestWarmupScan:
+    @pytest.mark.parametrize(
+        "policy, n",
+        [(PreSelectedK(2), 3), (EarliestK(3), 6), (EarliestK(1), 40)],
+        ids=["preselected2_of_3", "earliest3_of_6", "earliest1_of_40"],
+    )
+    def test_long_warmup_matches_scalar_reference(self, policy, n):
+        # 300 rounds are four blocks; one delivery per round leaves nodes of
+        # earliest1_of_40 without a delivery in the newest blocks
+        config = SimConfig(n=n, policy=policy, model=ShiftedExponential(1.3, 0.4),
+                           updates=400, warmup=300, seed=97)
+        result = replicate(config)
+        per_node, fraction, virtual, batch_means = reference_simulate(config)
+        np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
+        np.testing.assert_array_equal(result.delivery_fraction, fraction)
+        assert result.virtual_time == pytest.approx(virtual, rel=1e-12)
+        assert result.std_error == pytest.approx(batch_std_error(batch_means), rel=1e-9)
+
+    def test_blocks_double_back_from_the_end(self):
+        assert list(simulator._warmup_blocks(0, 10)) == []
+        assert list(simulator._warmup_blocks(20, 10)) == [(0, 20)]
+        assert list(simulator._warmup_blocks(1000, 10)) == [
+            (968, 32), (904, 64), (776, 128), (520, 256), (8, 512), (0, 8)]
+        # capped at a chunk: 4 000 000 // 200 000 = 20 rounds
+        assert list(simulator._warmup_blocks(50, 200_000)) == [(30, 20), (10, 20), (0, 10)]
+
+    def test_long_warmup_draws_only_its_tail(self, monkeypatch):
+        drawn = []
+        sample = ShiftedExponential.sample
+
+        def counted(model, stream, size=None, out=None):
+            delays = sample(model, stream, size, out)
+            drawn.append(delays.size)
+            return delays
+
+        monkeypatch.setattr(ShiftedExponential, "sample", counted)
+        config = SimConfig(n=100, policy=EarliestK(73), model=ShiftedExponential(1, 1),
+                           updates=100, warmup=10**6, seed=3)
+        started = time.perf_counter()
+        result = replicate(config)
+        assert time.perf_counter() - started < 1.0
+        assert sum(drawn) <= (100 + 64) * 100
+        # the measured rounds draw where a run that drew the warmup would
+        stream = RandomStream(3, 0)
+        stream.skip(10**6 * 100)
+        y, _ = run_rounds(EarliestK(73), ShiftedExponential(1, 1).sample(stream, (100, 100)))
+        assert result.virtual_time == pytest.approx(y.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "policy, n, warmup",
+        [(EarliestK(1), 40, 300), (EarliestK(1), 40, 40), (PreSelectedK(3), 10, 500),
+         (WaitForAll(), 5, 100)],
+        ids=["earliest1_of_40", "earliest1_of_40_short", "preselected3_of_10", "wait_for_all"],
+    )
+    def test_hyperexponential_scan_matches_forward_pass(self, policy, n, warmup):
+        model = HyperExponential((1.0, 6.0), (0.4, 0.6))
+        config = SimConfig(n=n, policy=policy, model=model, updates=100, warmup=warmup, seed=11)
+        last_wall, last_gen = simulator._warmup_state(config, 1, _Workspace())
+        # The same blocks drawn oldest first from one stream pair, each node's
+        # state moved round by round, with times from the warmup's start.
+        delay_stream, group_stream = RandomStream(11, 2), RandomStream(11, 3)
+        wall, gen = np.zeros((2, n))
+        t = 0.0
+        for _, rounds in reversed(list(simulator._warmup_blocks(warmup, n))):
+            delays = model.sample(delay_stream, (rounds, n))
+            y, delivered = run_rounds(policy, delays, group_stream=group_stream)
+            for j in range(rounds):
+                gen[delivered[j]] = t
+                wall[delivered[j]] = t + delays[j, delivered[j]]
+                t += y[j]
+        np.testing.assert_allclose(last_gen, gen - t, rtol=0, atol=1e-12 * t)
+        np.testing.assert_allclose(last_wall, wall - t, rtol=0, atol=1e-12 * t)
+
+
 def credit_slices(path, t0, y, delays, delivered, cuts, last_wall, last_gen):
     """Per-node state after crediting the rounds, cut into slices at ``cuts``,
     each slice on ``path`` (``rounds`` or ``deliveries``); plus the returned
@@ -811,20 +886,21 @@ class TestDeterminismAndAggregation:
     # (and a hyper-exponential earliest-k run), recorded with version 0.3.0,
     # per-update pre-selected with 0.4.0, std errors from per-batch sums with
     # 0.6.1, wait-for-all's area credited round by round with 0.6.2, the kept
-    # group as nodes 0..k-1 with 0.8.0, on x86-64 with numpy 2.4: no engine
-    # change that keeps every random stream and every crediting path may move
-    # a bit
+    # group as nodes 0..k-1 with 0.8.0, the warmup scanned from its end and
+    # times taken from the warmup's end with 0.9.0, on x86-64 with numpy 2.4:
+    # no engine change that keeps every random stream and every crediting
+    # path may move a bit
     PINNED_BITS = [
         (WaitForAll(), None,
-         "0x1.dfb20fbee5878p+1", "0x1.06c6be7271fd4p-7", "0x1.405d82efec5bbp+16"),
+         "0x1.dfb20fbee587ap+1", "0x1.06c6be7271fa8p-7", "0x1.405d82efec5bbp+16"),
         (EarliestK(7), None,
-         "0x1.749a2f8019d85p+1", "0x1.2f96e518a9ff9p-8", "0x1.1ed0f2c692426p+14"),
+         "0x1.749a2f8019d7dp+1", "0x1.2f96e518a9dfcp-8", "0x1.1ed0f2c692426p+14"),
         (PreSelectedK(7), None,
-         "0x1.ab558424210fbp+1", "0x1.fb33d267f8d69p-8", "0x1.e44140711bae2p+15"),
+         "0x1.ab558424210fep+1", "0x1.fb33d267f888fp-8", "0x1.e44140711bae2p+15"),
         (PreSelectedK(7, regroup="fixed"), None,
-         "0x1.aa83a23d3672dp+1", "0x1.efd3dbb436a4bp-8", "0x1.e2904ac851a14p+15"),
+         "0x1.aa83a23d3673ep+1", "0x1.efd3dbb436b76p-8", "0x1.e2904ac851a14p+15"),
         (EarliestK(7), HyperExponential((1.0, 6.0), (0.4, 0.6)),
-         "0x1.65b1c1507099bp-2", "0x1.889eefe059b98p-10", "0x1.252fc72e296c4p+11"),
+         "0x1.65b366ce5564bp-2", "0x1.885c72f072ebbp-10", "0x1.252fc72e296c4p+11"),
     ]
 
     @pytest.mark.parametrize(
@@ -842,18 +918,18 @@ class TestDeterminismAndAggregation:
         assert result.virtual_time.hex() == virtual_time
 
     # float.hex as above, recorded with version 0.5.0 (std errors with 0.6.1,
-    # wait-for-all and pre-selected credited round by round with 0.6.2),
-    # of runs whose warmup hands its state on to the measured updates: at
-    # n = 200 a warmup of 25 000 rounds spans two chunks; EarliestK(1) with a
-    # warmup of 3 leaves most of the 40 nodes with no delivery, so they start
-    # from state 0
+    # wait-for-all and pre-selected credited round by round with 0.6.2, the
+    # warmup scanned from its end with 0.9.0), of runs whose warmup hands its
+    # state on to the measured updates: at n = 200 a warmup of 25 000 rounds
+    # is longer than a chunk; EarliestK(1) with a warmup of 3 leaves most of
+    # the 40 nodes with no delivery, so they start from the warmup's start
     PINNED_WARMUP_BITS = [
         (WaitForAll(), 200, 25_000,
-         "0x1.352bc27860b03p+2", "0x1.fba38bd19e9ddp-7", "0x1.8f9169ba05c61p+13"),
+         "0x1.352bc27860b17p+2", "0x1.fba38bd19e92bp-7", "0x1.8f9169ba05c61p+13"),
         (EarliestK(150), 200, 25_000,
-         "0x1.4dccd24adf4c5p+1", "0x1.94ac93f145d91p-9", "0x1.d540972253951p+11"),
+         "0x1.4dccd24adf49dp+1", "0x1.94ac93f145696p-9", "0x1.d540972253951p+11"),
         (PreSelectedK(150), 200, 25_000,
-         "0x1.2aab696ed8401p+2", "0x1.0f09c5bfce198p-6", "0x1.7b0230ee15119p+13"),
+         "0x1.2aab696ed8409p+2", "0x1.0f09c5bfce479p-6", "0x1.7b0230ee15119p+13"),
         (EarliestK(1), 40, 3,
          "0x1.45a40ded59626p+4", "0x1.39c4272b19c7fp-1", "0x1.06457ba84da0bp+10"),
     ]
@@ -917,6 +993,9 @@ class TestDeterminismAndAggregation:
         assert spread(200_000) < spread(2_000)
 
 
+MODEL = ShiftedExponential(1, 0)
+
+
 class TestFailureModes:
     def test_starved_node_raises(self):
         config = SimConfig(
@@ -951,6 +1030,37 @@ class TestFailureModes:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
                 SimConfig(n=2, policy=EarliestK(1), model=model, updates=100, seed=seed)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SimConfig(n=2, policy=EarliestK(1), model=MODEL, updates=100, seed=1.5),
+            lambda: SimConfig(n=2, policy=EarliestK(1), model=MODEL, updates=1000.0, seed=1),
+            lambda: SimConfig(n=5.0, policy=EarliestK(1), model=MODEL, updates=100, seed=1),
+            lambda: SimConfig(n=2, policy=EarliestK(1), model=MODEL, updates=100, seed=1,
+                              warmup=10.0),
+            lambda: SimConfig(n=2, policy=EarliestK(1), model=MODEL, updates=100, seed=1,
+                              replications=2.0),
+            lambda: RandomStream(1.7),
+            lambda: RandomStream(1, 0.5),
+            lambda: EarliestK(2.5),
+            lambda: PreSelectedK(2.0),
+        ],
+        ids=["seed", "updates", "n", "warmup", "replications", "stream_seed", "stream_index",
+             "earliest_k", "preselected_k"],
+    )
+    def test_non_integral_counts_and_seeds_rejected(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_numpy_integers_run_as_python_integers(self):
+        as_numpy = SimConfig(n=np.int64(3), policy=PreSelectedK(np.int32(2)), model=MODEL,
+                             updates=np.int64(200), seed=np.uint64(7), warmup=np.int64(40))
+        as_python = SimConfig(n=3, policy=PreSelectedK(2), model=MODEL, updates=200, seed=7,
+                              warmup=40)
+        assert as_numpy == as_python
+        assert type(as_numpy.warmup) is int and type(as_numpy.policy.k) is int
+        assert replicate(as_numpy).grand_mean == replicate(as_python).grand_mean
 
     def test_too_few_updates_for_statistics(self):
         with pytest.raises(ValueError, match="at least 100 measured updates"):
