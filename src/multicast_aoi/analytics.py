@@ -16,8 +16,8 @@ from typing import Mapping
 import numpy as np
 
 from .delay_models import (
+    _check_count,
     _check_kn,
-    _check_n,
     _check_rate_shift,
     _tail_sums,
     harmonic,
@@ -156,7 +156,7 @@ def age_wait_for_all(rate: float, shift: float, n: int) -> AgeResult:
     with true harmonic sums (c is the shift).
     """
     _check_rate_shift(rate, shift)
-    _check_n(n)
+    n = _check_count("n", n)
     hn = harmonic(n)
     h2n = harmonic2(n)
     return _result(
@@ -181,7 +181,7 @@ def age_earliest_k(rate: float, shift: float, n: int, k: int) -> AgeResult:
     variance ratio ``Var[X_{k:n}] / (2 E[X_{k:n}])``.
     """
     _check_rate_shift(rate, shift)
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     delta1, interval, variance_ratio = _earliest_k_terms(
         rate, shift, n, k, *_tail_sums(n, k)
     )
@@ -235,7 +235,7 @@ def age_preselected_k(rate: float, shift: float, n: int, k: int) -> AgeResult:
     probability ``k/n + ((n-k)/n) * k/(k+1)``.
     """
     _check_rate_shift(rate, shift)
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     mean_delay = shift + 1.0 / rate
     bystander_sum = partial_order_mean_sum(rate, shift, k, k + 1)
     delta1 = (k / n) * mean_delay + ((n - k) / (k * n)) * bystander_sum
@@ -273,7 +273,7 @@ def age_preselected_k_process(rate: float, shift: float, n: int, k: int) -> AgeR
     :func:`age_preselected_k` at k = n and exceeds it nowhere.
     """
     _check_rate_shift(rate, shift)
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     p = k / n
     a = k / (k + 1.0)
     p_any = p + (1.0 - p) * a
@@ -340,7 +340,7 @@ def age_preselected_k_approx(rate: float, shift: float, n: int, k: int) -> AgeRe
     :func:`age_preselected_k`.
     """
     _check_rate_shift(rate, shift)
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     delta1 = (
         shift
         + 1.0 / rate
@@ -377,8 +377,8 @@ def optimal_alpha(rate: float, shift: float) -> float:
 
 def optimal_k_closed_form(rate: float, shift: float, n: int) -> int:
     """Nearest-integer threshold ``round(alpha* n)`` clamped to [1, n]."""
-    _check_n(n)
-    k = int(math.floor(optimal_alpha(rate, shift) * n + 0.5))
+    n = _check_count("n", n)
+    k = math.floor(optimal_alpha(rate, shift) * n + 0.5)
     return min(max(k, 1), n)
 
 
@@ -410,7 +410,7 @@ def optimal_k_exact(rate: float, shift: float, n: int) -> tuple[int, AgeResult]:
     from :func:`age_earliest_k` at the minimizer.
     """
     _check_rate_shift(rate, shift)
-    _check_n(n)
+    n = _check_count("n", n)
     best_k, best_age = 1, math.inf
     t1 = e1 = t2 = e2 = 0.0
     # Ages out of floating-point range become inf here, without warnings;

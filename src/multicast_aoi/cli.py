@@ -30,7 +30,7 @@ from .analytics import (
     optimal_k_closed_form,
     optimal_k_exact,
 )
-from .delay_models import HyperExponential, ShiftedExponential
+from .delay_models import HyperExponential, ShiftedExponential, _check_count
 from .experiments import (
     DEFAULT_SEED,
     SCHEMES,
@@ -315,8 +315,8 @@ def _experiment(args) -> int:
                 raise _CliError(f"{flag} does not apply to experiment {args.figure}")
             continue
         flags[dest] = defaults[dest] if value is None else value
-        if dest.endswith("step") and flags[dest] < 1:
-            raise _CliError(f"{flag} must be >= 1, got {flags[dest]}")
+        if dest.endswith("step"):
+            _check_count(flag, flags[dest])
     rows = run(
         **flags,
         rounds=args.rounds if args.rounds is not None else default_rounds,

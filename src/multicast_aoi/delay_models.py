@@ -52,9 +52,7 @@ class RandomStream:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        index = _check_integer("stream_index", self.stream_index)
-        if index < 0:
-            raise ValueError(f"stream_index must be >= 0, got {index}")
+        index = _check_count("stream_index", self.stream_index, 0)
         object.__setattr__(self, "stream_index", index)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
         object.__setattr__(self, "_generator", np.random.Generator(np.random.PCG64(ss)))
@@ -69,7 +67,7 @@ class RandomStream:
         A uniform double takes one 64-bit output of PCG64, whose jump costs
         O(log draws) steps whatever the count.
         """
-        self.generator.bit_generator.advance(_check_integer("draws", draws))
+        self.generator.bit_generator.advance(_check_count("draws", draws, 0))
 
 
 def _check_integer(name: str, value) -> int:
@@ -78,6 +76,14 @@ def _check_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int of at least ``low``: the one rule for every count."""
+    value = _check_integer(name, value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _check_seed(seed) -> int:
@@ -129,7 +135,7 @@ class ShiftedExponential:
 
     def skip(self, stream: RandomStream, count: int) -> None:
         """Move ``stream`` past ``count`` delays: one uniform each, in order."""
-        stream.skip(count)
+        stream.skip(_check_count("count", count, 0))
 
     def label(self) -> str:
         return f"shifted_exp(rate={self.rate:g},shift={self.shift:g})"
@@ -202,7 +208,7 @@ class HyperExponential:
         so this matches the draws of :meth:`sample` only for whole calls:
         ``count`` must end where a call would end.
         """
-        stream.skip(2 * count)
+        stream.skip(2 * _check_count("count", count, 0))
 
     def label(self) -> str:
         r = "|".join(f"{x:g}" for x in self.rates)
@@ -297,22 +303,15 @@ def _tail_sums(n: int, k: int) -> tuple[float, float, float]:
     return t1, t2, excess
 
 
-def _check_index(n: int) -> int:
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return n
-
-
 def harmonic(n: int) -> float:
     """Partial sum ``H_n = sum_{j=1..n} 1/j`` to a few ulps; ``H_0 = 0``."""
-    n = _check_index(n)
+    n = _check_count("n", n, 0)
     return _tail_sums(n, n)[0]
 
 
 def harmonic2(n: int) -> float:
     """Second-order partial sum ``sum_{j=1..n} 1/j^2`` (limit pi^2/6); zero at n=0."""
-    n = _check_index(n)
+    n = _check_count("n", n, 0)
     return _tail_sums(n, n)[1]
 
 
@@ -326,15 +325,13 @@ class OrderStatMoments(NamedTuple):
     n: int
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
-
-def _check_kn(k: int, n: int) -> None:
-    _check_n(n)
+def _check_kn(k: int, n: int) -> tuple[int, int]:
+    """``(k, n)`` as ints with 1 <= k <= n."""
+    n = _check_count("n", n)
+    k = _check_integer("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    return k, n
 
 
 def order_stat_moments(rate: float, shift: float, k: int, n: int) -> OrderStatMoments:
@@ -348,7 +345,7 @@ def order_stat_moments(rate: float, shift: float, k: int, n: int) -> OrderStatMo
     * second moment = mean^2 + variance
     """
     _check_rate_shift(rate, shift)
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     t1, t2, _ = _tail_sums(n, k)
     mean = shift + t1 / rate
     variance = t2 / rate / rate
@@ -367,5 +364,5 @@ def partial_order_mean_sum(rate: float, shift: float, k: int, n: int) -> float:
     cancellation.
     """
     _check_rate_shift(rate, shift)
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     return k * shift + _tail_sums(n, k)[2] / rate

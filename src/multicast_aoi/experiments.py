@@ -26,7 +26,13 @@ from .analytics import (
     age_wait_for_all,
     optimal_k_closed_form,
 )
-from .delay_models import DelayModel, HyperExponential, ShiftedExponential, _check_seed
+from .delay_models import (
+    DelayModel,
+    HyperExponential,
+    ShiftedExponential,
+    _check_count,
+    _check_seed,
+)
 from .simulator import (
     EarliestK,
     PreSelectedK,
@@ -185,8 +191,7 @@ def run_sweep(
     Point i is seeded with ``_point_seed(seed, i)``, from ``seed`` and i
     alone.  The rows come back in the order of the points.
     """
-    if rounds < 100:
-        raise ValueError(f"rounds must be >= 100, got {rounds}")
+    _check_count("rounds", rounds, 100)
     if not points:
         raise ValueError("a sweep needs at least one point")
     _check_seed(seed)
@@ -202,9 +207,7 @@ def _sorted(rows: list[SweepRow]) -> list[SweepRow]:
 
 
 def _k_values(n: int, step: int, extra: Sequence[int] = ()) -> tuple:
-    if step < 1:
-        raise ValueError(f"k step must be >= 1, got {step}")
-    values = set(range(1, n + 1, step)) | {1, n} | set(extra)
+    values = set(range(1, n + 1, _check_count("k step", step))) | {1, n} | set(extra)
     return tuple(sorted(values))
 
 

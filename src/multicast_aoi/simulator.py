@@ -57,7 +57,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .delay_models import DelayModel, RandomStream, _check_integer, _check_kn, _check_seed
+from .delay_models import (
+    DelayModel,
+    RandomStream,
+    _check_count,
+    _check_integer,
+    _check_kn,
+    _check_seed,
+)
 
 __all__ = [
     "WaitForAll",
@@ -95,13 +102,6 @@ _MAX_BATCHES = 32
 _FIRST_WARMUP_BLOCK = 32
 
 
-def _check_k(k) -> int:
-    k = _check_integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k
-
-
 class SimulationError(RuntimeError):
     """A simulation could not produce well-defined statistics."""
 
@@ -118,7 +118,7 @@ class EarliestK:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "k", _check_count("k", self.k))
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class PreSelectedK:
     regroup: str = "per_update"
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "k", _check_count("k", self.k))
         if self.regroup not in _REGROUP_MODES:
             raise ValueError(
                 f"regroup must be one of {_REGROUP_MODES}, got {self.regroup!r}"
@@ -150,9 +150,7 @@ StoppingPolicy = Union[WaitForAll, EarliestK, PreSelectedK]
 
 def _policy_threshold(policy: StoppingPolicy, n: int) -> int:
     """Acknowledgement count the policy waits for; validates 1 <= k <= n."""
-    k = n if isinstance(policy, WaitForAll) else policy.k
-    _check_kn(k, n)
-    return k
+    return _check_kn(n if isinstance(policy, WaitForAll) else policy.k, n)[0]
 
 
 class _Workspace:
@@ -297,10 +295,8 @@ class SimConfig:
                 f"at least 100 measured updates are needed to report statistics, "
                 f"got {self.updates}"
             )
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        _check_count("warmup", self.warmup, 0)
+        _check_count("replications", self.replications)
         _check_seed(self.seed)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
 import csv
+import inspect
 import io
 import json
 import re
@@ -421,6 +422,18 @@ class TestExperimentAndValidate:
         monkeypatch.setattr(cli, "table", lambda rows: ((), []))
         assert run_cli(["experiment", *argv, "--rounds", "200"], capsys)[0] == 0
         assert {key: seen[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6"])
+    def test_figure_table_restates_the_sweep_defaults(self, figure):
+        # the table's flag defaults and paper rounds must be the sweep's own
+        _, flags, rounds = cli._FIGURES[figure]
+        sweep = inspect.signature(getattr(cli, "run_" + figure)).parameters
+        assert rounds == sweep["rounds"].default
+        if figure == "fig6":
+            n_values = tuple(range(flags["n_min"], flags["n_max"] + 1, flags["n_step"]))
+            assert n_values == sweep["n_values"].default
+        else:
+            assert flags == {"step": sweep["k_step"].default}
 
     @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6"])
     @pytest.mark.parametrize("rounds", ["0", "-5"])
