@@ -55,7 +55,9 @@ _FIGURES = {
         n_values=tuple(range(n_min, n_max + 1, n_step)), **run
     ), {"n_min": 1, "n_max": 200, "n_step": 1}, 1_000_000),
 }
-_FIGURE_FLAGS = ("step", "n_min", "n_max", "n_step")
+# Each figure flag and what it sets.
+_FIGURE_FLAGS = {"step": "k-grid step", "n_min": "smallest n", "n_max": "largest n",
+                 "n_step": "n stride"}
 
 _OPTIMIZE_LABELS = {
     "alpha_star": "alpha*",
@@ -336,6 +338,15 @@ def _validate(args) -> int:
     return 0 if report.passed else 1
 
 
+def _figure_help(what: str, dest: str) -> str:
+    """``what`` and each figure's default for it, read from ``_FIGURES``."""
+    defaults = {figure: rounds if dest == "rounds" else flags.get(dest)
+                for figure, (_, flags, rounds) in _FIGURES.items()}
+    return f"{what} (default " + ", ".join(
+        f"{value} for {figure}" for figure, value in defaults.items() if value is not None
+    ) + ")"
+
+
 def _add_model_flags(parser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="rate of the (shifted) exponential delay")
@@ -394,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("experiment", _experiment, "run a predefined sweep and emit its table")
     p.add_argument("figure", choices=tuple(_FIGURES))
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--step", type=int, default=None, help="k-grid step (fig4/fig5, default 5)")
+    p.add_argument("--rounds", type=int, default=None,
+                   help=_figure_help("rounds per point", "rounds"))
     _add_run_flags(p)
     p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--n-min", type=int, default=None, help="fig6 smallest n (default 1)")
-    p.add_argument("--n-max", type=int, default=None, help="fig6 largest n (default 200)")
-    p.add_argument("--n-step", type=int, default=None, help="fig6 n stride (default 1)")
+    for dest, what in _FIGURE_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=int, default=None,
+                       help=_figure_help(what, dest))
 
     p = command("validate", _validate, "simulation-vs-theory agreement grid")
     p.add_argument("--rounds", type=int, default=100_000)

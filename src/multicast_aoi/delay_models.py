@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
-# HyperExponential.sample turns component uniforms into rates in blocks of
-# this many draws, so that its index arrays stay small.
+# HyperExponential.sample draws in blocks of this many delays, so that its
+# index arrays stay small.
 _SAMPLE_BLOCK = 1 << 13
 
 
@@ -133,10 +133,6 @@ class ShiftedExponential:
         np.divide(u, self.rate, out=u)
         return np.subtract(self.shift, u, out=u)
 
-    def skip(self, stream: RandomStream, count: int) -> None:
-        """Move ``stream`` past ``count`` delays: one uniform each, in order."""
-        stream.skip(_check_count("count", count, 0))
-
     def label(self) -> str:
         return f"shifted_exp(rate={self.rate:g},shift={self.shift:g})"
 
@@ -161,9 +157,16 @@ class HyperExponential:
             raise ValueError(f"all weights must be finite and >= 0, got {weights}")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {weights}")
-        object.__setattr__(self, "_cum_weights", np.cumsum(weights))
-        # Negated, so that one division turns log1p(-u) into a draw.
-        object.__setattr__(self, "_negated_rates", -np.asarray(rates))
+        # Component c owns the uniforms in [low_c, high_c); the last one runs
+        # up to 1.0, as the weights may sum to a little below 1.  A zero
+        # weight has width 0 and is never drawn.
+        cum = np.cumsum(weights)
+        high = np.append(cum[:-1], 1.0)
+        inv_rates = 1.0 / np.asarray(rates)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_width = np.log(high - np.append(0.0, cum[:-1]))
+        # log width_c / rate_c, multiplied as in sample so that u = low_c gives 0
+        object.__setattr__(self, "_intervals", (cum[:-1], high, inv_rates, log_width * inv_rates))
 
     def mean(self) -> float:
         return math.fsum(w / r for w, r in zip(self.weights, self.rates))
@@ -173,42 +176,28 @@ class HyperExponential:
         m = self.mean()
         return second - m * m
 
-    def _component(self, u):
-        # The number of cumulative-weight edges at or below u, over all but
-        # the last edge: the weights may sum to a little below 1.
-        return sum(u >= edge for edge in self._cum_weights[:-1])  # type: ignore[attr-defined]
-
     def sample(self, stream: RandomStream, size=None, out=None):
         """Draw an array of ``size`` delays.
 
         ``out``, a contiguous float64 array, receives the draws in place of
         a new array and is returned.  One of ``size`` and ``out`` is needed.
-        All component uniforms are drawn before all value uniforms.
+        Each delay comes from one uniform u by composition: u picks the
+        component c whose interval [low_c, high_c) holds it, and
+        ``(log width_c - log(high_c - u)) / rate_c`` is exponential of rate
+        ``rate_c`` given c.
         """
-        gen = stream.generator
-        negated_rates = self._negated_rates  # type: ignore[attr-defined]
-        out = gen.random(size, out=out)
-        # The component uniforms fill out first; block by block, each is
-        # turned into a component index and its place takes the next value
-        # uniform, so no array of the full size is allocated.
+        edges, high, inv_rates, log_width_over_rates = self._intervals  # type: ignore[attr-defined]
+        out = stream.generator.random(size, out=out)
         flat = out.ravel(order="K")
         for start in range(0, flat.size, _SAMPLE_BLOCK):
             block = flat[start:start + _SAMPLE_BLOCK]
-            comp = self._component(block)
-            gen.random(out=block)
-            np.negative(block, out=block)
-            np.log1p(block, out=block)
-            np.divide(block, negated_rates[comp], out=block)
+            # c is the number of edges at or below u.
+            comp = sum(block >= edge for edge in edges)
+            np.subtract(high[comp], block, out=block)
+            np.log(block, out=block)
+            np.multiply(block, inv_rates[comp], out=block)
+            np.subtract(log_width_over_rates[comp], block, out=block)
         return out
-
-    def skip(self, stream: RandomStream, count: int) -> None:
-        """Move ``stream`` past ``count`` delays, two uniforms each.
-
-        A call draws all its component uniforms before its value uniforms,
-        so this matches the draws of :meth:`sample` only for whole calls:
-        ``count`` must end where a call would end.
-        """
-        stream.skip(2 * _check_count("count", count, 0))
 
     def label(self) -> str:
         r = "|".join(f"{x:g}" for x in self.rates)

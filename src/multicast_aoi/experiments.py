@@ -162,6 +162,7 @@ def simulate_point(model: DelayModel, scheme: str, n: int, k: int, updates: int,
     config = SimConfig(n=n, policy=spec.policy(k, regroup), model=model, updates=updates,
                        seed=seed, warmup=warmup, replications=replications)
     result = replicate(config)
+    n, k = config.n, _check_count("k", k)
     lam = shift = exact = approx = None
     kstar = False
     if isinstance(model, ShiftedExponential):

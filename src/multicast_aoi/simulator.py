@@ -35,18 +35,17 @@ that update.  So the warmup is scanned from its end, in blocks that double
 going back (see :func:`_warmup_state`), and the scan stops as soon as
 every node has a delivery; a threshold policy usually needs one small
 block.  Each block draws from fresh streams jumped to its first round, and
-the measured rounds draw from streams jumped past the whole warmup: PCG64
-moves on any number of draws in O(log n) steps, and a delay model's
-``skip`` says how many draws its delays take.  Times are taken from the
-end of the warmup, where the measured rounds start at t = 0.
+the measured rounds draw from streams jumped past the whole warmup: every
+delay takes one uniform, and PCG64 moves on any number of draws in
+O(log n) steps.  Times are taken from the end of the warmup, where the
+measured rounds start at t = 0.
 
 A run is then one loop over a chunk list (each batch of measured rounds,
 cut at ``chunk_rounds``) that adds each credited area and span and each
-chunk's duration into per-batch vectors.  The layouts fix the random
-stream: a hyper-exponential call draws all its component uniforms before
-its values, so its draws depend on where the warmup blocks and the chunks
-start, and the rounding of the round start times ``t_edges`` depends on
-where each chunk starts; so changing a layout is a named stream change.
+chunk's duration into per-batch vectors.  Since each delay takes one
+uniform, in element order, the draws are the same whatever the layouts;
+only the rounding of the round start times ``t_edges`` depends on where
+each chunk starts.
 """
 
 from __future__ import annotations
@@ -478,9 +477,7 @@ def _warmup_blocks(warmup: int, n: int):
 
     The blocks end at the warmup's last round and double in size going
     back, from ``_FIRST_WARMUP_BLOCK`` rounds, each capped at a chunk of
-    ``_CHUNK_ELEMENTS``; the oldest block holds what is left.  The layout
-    depends on ``(warmup, n)`` alone, so it fixes where a hyper-exponential
-    warmup's sampling calls start.
+    ``_CHUNK_ELEMENTS``; the oldest block holds what is left.
     """
     cap = max(1, _CHUNK_ELEMENTS // n)
     end, size = warmup, _FIRST_WARMUP_BLOCK
@@ -495,7 +492,7 @@ def _streams(config: SimConfig, replication: int, rounds: int):
     """The delay and group streams of a replication, moved past ``rounds`` rounds."""
     delay_stream = RandomStream(config.seed, 2 * replication)
     group_stream = RandomStream(config.seed, 2 * replication + 1)
-    config.model.skip(delay_stream, rounds * config.n)
+    delay_stream.skip(rounds * config.n)
     group_stream.skip(rounds)
     return delay_stream, group_stream
 

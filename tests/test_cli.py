@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import inspect
 import io
@@ -355,7 +356,7 @@ class TestExperimentAndValidate:
 
     def test_experiment_fig4_json(self, capsys):
         code, out, _ = run_cli(
-            ["experiment", "fig4", "--rounds", "400", "--warmup", "50", "--step", "100",
+            ["experiment", "fig4", "--rounds", "2000", "--warmup", "50", "--step", "100",
              "--seed", "5", "--format", "json"],
             capsys,
         )
@@ -425,7 +426,8 @@ class TestExperimentAndValidate:
 
     @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6"])
     def test_figure_table_restates_the_sweep_defaults(self, figure):
-        # the table's flag defaults and paper rounds must be the sweep's own
+        # the table's flag defaults and paper rounds must be the sweep's own,
+        # and experiment --help must show each of them
         _, flags, rounds = cli._FIGURES[figure]
         sweep = inspect.signature(getattr(cli, "run_" + figure)).parameters
         assert rounds == sweep["rounds"].default
@@ -434,6 +436,13 @@ class TestExperimentAndValidate:
             assert n_values == sweep["n_values"].default
         else:
             assert flags == {"step": sweep["k_step"].default}
+        experiment = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices["experiment"]
+        helps = {action.dest: action.help for action in experiment._actions}
+        for dest, default in {**flags, "rounds": rounds}.items():
+            assert re.search(rf"[ (]{default} for (\w+/)*{figure}\b", helps[dest]), dest
 
     @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6"])
     @pytest.mark.parametrize("rounds", ["0", "-5"])

@@ -1,6 +1,7 @@
 """Delay distributions, harmonic sums, and order-statistic closed forms."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from multicast_aoi import (
     order_stat_moments,
     partial_order_mean_sum,
 )
-from multicast_aoi.delay_models import _tail_sums
+from multicast_aoi.delay_models import _SAMPLE_BLOCK, _tail_sums
 from scalar_oracles import order_stat_mc_oracle
 
 
@@ -33,12 +34,16 @@ class TestModels:
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) <= 3 * stderr
 
-    def test_hyperexponential_sample_mean(self):
+    def test_hyperexponential_sample_moments(self):
         model = HyperExponential((1.0, 6.0), (0.4, 0.6))
         assert model.mean() == pytest.approx(0.4 * 1.0 + 0.6 / 6.0)
-        draws = model.sample(RandomStream(7), 1_000_000)
-        stderr = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - 0.5) <= 3 * stderr
+        draws = model.sample(RandomStream(7), 2_000_000)
+        centred = draws - draws.mean()
+        variance = centred.var()
+        mean_stderr = math.sqrt(variance / draws.size)
+        variance_stderr = math.sqrt(((centred**4).mean() - variance**2) / draws.size)
+        assert abs(draws.mean() - model.mean()) <= 4 * mean_stderr
+        assert abs(variance - model.variance()) <= 4 * variance_stderr
         assert float(draws.min()) >= 0.0
 
     def test_closed_form_moments(self):
@@ -69,20 +74,27 @@ class TestModels:
             bad()
 
 
-# The samplers as they were written before they drew in place; the
-# in-place versions must give the same bits on the same stream.
+# Plain versions of the samplers; the in-place ones must give the same bits
+# on the same stream.
 def reference_shifted_sample(model, stream, size=None):
     u = stream.generator.random(size)
     return model.shift - np.log1p(-u) / model.rate
 
 
 def reference_hyper_sample(model, stream, size=None):
-    gen = stream.generator
-    u_comp = gen.random(size)
-    comp = np.searchsorted(np.cumsum(model.weights), u_comp, side="right")
-    comp = np.minimum(comp, len(model.rates) - 1)
-    u_val = gen.random(size)
-    return -np.log1p(-u_val) / np.asarray(model.rates)[comp]
+    """One uniform per delay, element by element: u in component c's interval
+    [low_c, high_c) (the last one up to 1.0) gives
+    (log width_c - log(high_c - u)) / rate_c."""
+    u = stream.generator.random(size)
+    edges = [float(e) for e in np.cumsum(model.weights)[:-1]]
+    lows, highs = [0.0, *edges], [*edges, 1.0]
+    draws = np.empty_like(u)
+    for i, x in enumerate(u.flat):
+        c = sum(x >= edge for edge in edges)
+        inv_rate = 1.0 / model.rates[c]
+        log_width = np.log(highs[c] - lows[c])
+        draws.flat[i] = log_width * inv_rate - np.log(highs[c] - x) * inv_rate
+    return draws
 
 
 class _ScriptedGenerator:
@@ -141,34 +153,46 @@ class TestSamplersBitIdentical:
             assert same_bits(view, reference_hyper_sample(model, reference_stream, (rows, 50)))
 
     @pytest.mark.parametrize("model, reference", SAMPLERS, ids=SAMPLER_IDS)
-    @pytest.mark.parametrize("rows", [1, 250])
-    def test_skip_lands_on_the_next_call(self, model, reference, rows):
+    @pytest.mark.parametrize("split", [1, 3 * 40 + 7, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK + 3])
+    def test_one_uniform_per_delay_in_element_order(self, model, reference, split):
         # 250 rows of 40 are more than one of HyperExponential's blocks
-        drawn, skipped = RandomStream(8, 2), RandomStream(8, 2)
-        model.sample(drawn, (rows, 40))
-        model.skip(skipped, rows * 40)
-        assert same_bits(model.sample(skipped, (3, 40)), model.sample(drawn, (3, 40)))
-
-    @pytest.mark.parametrize("model", [ShiftedExponential(1.0, 1.0), ShiftedExponential(0.37)])
-    def test_shifted_skip_lands_anywhere_in_a_call(self, model):
-        # one uniform per delay, in element order: any count is a boundary
-        whole = model.sample(RandomStream(8, 2), (250, 40))
+        whole = model.sample(RandomStream(8, 2), (250, 40)).ravel()
+        stream = RandomStream(8, 2)
+        head = model.sample(stream, split)
+        assert same_bits(np.concatenate([head, model.sample(stream, whole.size - split)]), whole)
         skipped = RandomStream(8, 2)
-        model.skip(skipped, 3 * 40 + 7)
-        assert same_bits(model.sample(skipped, 9), whole[3, 7:16])
+        skipped.skip(split)
+        assert same_bits(model.sample(skipped, whole.size - split), whole[split:])
+
+    def test_zero_weight_component_is_never_drawn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = HyperExponential((1.0, 3.0, 6.0), (0.2, 0.0, 0.8))
+        # the middle component's interval [0.2, 0.2) is empty; drawing it
+        # would give log 0 - log 0, not a number
+        edge = 0.2
+        below = [0.0, 0.1, math.nextafter(edge, 0.0)]
+        above = [edge, math.nextafter(edge, 1.0), 0.5, 1.0 - 2.0**-53]
+        drawn = model.sample(_ScriptedStream(below + above), len(below) + len(above))
+        assert np.isfinite(drawn).all()
+        expected = [math.log(edge / (edge - u)) for u in below]
+        expected += [math.log(0.8 / (1.0 - u)) / 6.0 for u in above]
+        # the log form is exact to a few 1e-16 absolute
+        assert drawn.tolist() == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_uniform_above_the_last_cumulative_weight(self):
-        # weights summing to 1 - 5e-13 leave room for a component uniform
-        # above the last edge; it selects the last component
+        # weights summing to 1 - 5e-13 leave room for a uniform above the
+        # last edge; the last component owns it, up to 1.0
         model = HyperExponential((1.0, 3.0), (0.5, 0.5 - 5e-13))
         assert math.fsum(model.weights) < 1.0
-        high = 1.0 - 2.0**-53
-        comp_u = [0.2, high, 0.7, 1.0 - 5e-13, high, 0.0]
-        value_u = [0.5, 0.25, 0.125, 0.9, 0.0, 0.3]
-        expected = reference_hyper_sample(model, _ScriptedStream(comp_u + value_u), (2, 3))
-        drawn = model.sample(_ScriptedStream(comp_u + value_u), (2, 3))
-        assert same_bits(drawn, expected)
-        assert drawn[0, 1] == pytest.approx(-math.log1p(-0.25) / 3.0, rel=1e-12)
+        last_edge = float(np.cumsum(model.weights)[-1])
+        uniforms = [0.2, last_edge, math.nextafter(last_edge, 1.0), 1.0 - 2.0**-53]
+        drawn = model.sample(_ScriptedStream(uniforms), (2, 2))
+        assert same_bits(drawn, reference_hyper_sample(model, _ScriptedStream(uniforms), (2, 2)))
+        assert np.isfinite(drawn).all()
+        assert drawn[0, 0] == pytest.approx(math.log(0.5 / 0.3), rel=1e-12)
+        for delay, u in zip(drawn.flat[1:], uniforms[1:]):
+            assert delay == pytest.approx(math.log(0.5 / (1.0 - u)) / 3.0, rel=1e-9)
 
 
 class TestRandomStream:

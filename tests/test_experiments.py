@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from multicast_aoi import (
@@ -113,6 +114,13 @@ class TestRunSweep:
         assert run_sweep(points, rounds=500, warmup=50, seed=11) == rows
         # a point's seed depends on its position alone
         assert run_sweep(points[:1], rounds=500, warmup=50, seed=11) == rows[:1]
+
+    def test_numpy_integer_points_give_python_int_rows(self):
+        model = ShiftedExponential(1.0, 1.0)
+        rows = run_sweep([(model, "earliest_k", np.int64(3), np.int64(2))], 200, 10, 1)
+        assert type(rows[0].n) is int and type(rows[0].k) is int
+        assert rows == run_sweep([(model, "earliest_k", 3, 2)], 200, 10, 1)
+        assert json.loads(json_text(rows))[0]["n"] == 3
 
     @staticmethod
     def figure_points(figure):
