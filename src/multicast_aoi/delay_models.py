@@ -157,16 +157,17 @@ class HyperExponential:
             raise ValueError(f"all weights must be finite and >= 0, got {weights}")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {weights}")
-        # Component c owns the uniforms in [low_c, high_c); the last one runs
-        # up to 1.0, as the weights may sum to a little below 1.  A zero
-        # weight has width 0 and is never drawn.
-        cum = np.cumsum(weights)
-        high = np.append(cum[:-1], 1.0)
+        # Component c owns the uniforms in [low_c, high_c).  The last one of
+        # positive weight runs up to 1.0, as the weights may sum to a little
+        # below 1.  A zero weight owns an empty interval, at 1.0 after that one.
+        low = np.append(0.0, np.cumsum(weights)[:-1])
+        low[1 + max(c for c, w in enumerate(weights) if w > 0):] = 1.0
+        high = np.append(low[1:], 1.0)
         inv_rates = 1.0 / np.asarray(rates)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_width = np.log(high - np.append(0.0, cum[:-1]))
+            log_width = np.log(high - low)
         # log width_c / rate_c, multiplied as in sample so that u = low_c gives 0
-        object.__setattr__(self, "_intervals", (cum[:-1], high, inv_rates, log_width * inv_rates))
+        object.__setattr__(self, "_intervals", (low[1:], high, inv_rates, log_width * inv_rates))
 
     def mean(self) -> float:
         return math.fsum(w / r for w, r in zip(self.weights, self.rates))

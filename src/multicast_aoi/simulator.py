@@ -23,8 +23,8 @@ integral over the block is one matrix-vector product of the round
 durations with the delays, plus one correction per miss.  Otherwise the
 block is cut into slices, and each slice's deliveries are picked out of
 its node-major copy into one flat array and credited as trapezoids between
-consecutive deliveries of a node.  Both paths leave the same state, up to
-the rounding of the area (see :func:`_credit_chunk`).  Each run keeps one
+consecutive deliveries of a node.  Both paths give the same increments, up
+to the rounding of the area (see :meth:`_Run.credit`).  Each run keeps one
 workspace of flat buffers that every block reuses: the delays are drawn
 into it, and resolution and accumulation work in it in place, so that a
 block costs no fresh pages.
@@ -40,12 +40,11 @@ delay takes one uniform, and PCG64 moves on any number of draws in
 O(log n) steps.  Times are taken from the end of the warmup, where the
 measured rounds start at t = 0.
 
-A run is then one loop over a chunk list (each batch of measured rounds,
-cut at ``chunk_rounds``) that adds each credited area and span and each
-chunk's duration into per-batch vectors.  Since each delay takes one
-uniform, in element order, the draws are the same whatever the layouts;
-only the rounding of the round start times ``t_edges`` depends on where
-each chunk starts.
+A run's state is one object (:class:`_Run`).  Each batch of measured
+rounds is cut into chunks; both crediting paths only read the state and
+hand back per-node increments, which one method applies.  Since each delay
+takes one uniform, in element order, the draws are the same whatever the
+layouts; only the rounding of round start times depends on the chunks.
 """
 
 from __future__ import annotations
@@ -315,42 +314,91 @@ class SimResult:
     delivery_fraction: np.ndarray
 
 
-def _credit_chunk(t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws):
-    """Credit a chunk of rounds to each node's sawtooth area, span and count.
+class _Run:
+    """A run's state: per node, the last delivery (``last_wall``, of the
+    update generated at ``last_gen``) and the sawtooth ``area``, ``span`` and
+    delivery ``count``; per batch, the area, span and time added; and ``t``,
+    the end of the last chunk.  Times run from the end of the warmup."""
+
+    def __init__(self, last_wall, last_gen, batches):
+        self.last_wall, self.last_gen = last_wall, last_gen
+        self.area, self.span = np.zeros((2, len(last_wall)))
+        self.count = np.zeros(len(last_wall), dtype=np.int64)
+        self.batch_area, self.batch_span, self.batch_time = np.zeros((3, batches))
+        self.t = 0.0
+
+    def credit(self, b, y, delays, delivered, ws):
+        """Credit a chunk of rounds, of durations ``y``, to batch ``b``.
+
+        A chunk in which at most ``_DENSE_MISS_SHARE`` of its (round, node)
+        pairs miss the update is credited round by round in one call
+        (:func:`_credit_rounds`, with ``delivered`` None when nothing misses);
+        any other chunk by its deliveries (:func:`_credit_deliveries`), in
+        slices of ``_SLICE_ELEMENTS``.  On the same rounds the two paths give
+        the same increments up to the rounding of the area: spans, counts and
+        the last deliveries are the same floats.  One call in place of several
+        moves the area, and the spans' sums of differences, by rounding alone.
+        """
+        cs = np.cumsum(y)
+        # Start of each round, then the end of the chunk.
+        t_edges = self.t + np.concatenate(([0.0], cs))
+        misses = delivered.size - np.count_nonzero(delivered)
+        if misses <= _DENSE_MISS_SHARE * delivered.size:
+            self._add(b, *_credit_rounds(t_edges, y, delays, delivered if misses else None,
+                                         self.last_wall, self.last_gen, ws))
+        else:
+            step = max(1, _SLICE_ELEMENTS // delays.shape[1])
+            for i in range(0, len(y), step):
+                rows = slice(i, min(i + step, len(y)))
+                self._add(b, *_credit_deliveries(t_edges[rows], delays[rows], delivered[rows],
+                                                 self.last_wall, self.last_gen, ws))
+        self.batch_time[b] += float(cs[-1])
+        self.t += float(cs[-1])
+
+    def _add(self, b, hit, added_area, wall, gen, count):
+        """Apply one path's increments (see :func:`_credit_rounds`) in batch ``b``."""
+        added_span = wall - self.last_wall[hit]
+        self.area[hit] += added_area
+        self.span[hit] += added_span
+        self.count += count
+        self.last_wall[hit] = wall
+        self.last_gen[hit] = gen
+        self.batch_area[b] += float(added_area.sum())
+        self.batch_span[b] += float(added_span.sum())
+
+    def result(self, updates: int) -> SimResult:
+        starved = np.flatnonzero((self.count == 0) | (self.span <= 0.0))
+        if starved.size:
+            raise SimulationError(
+                f"nodes {starved.tolist()} received no update after warmup; "
+                f"average age is undefined (try more rounds)"
+            )
+        per_node = self.area / self.span
+        credited = self.batch_span > 0.0
+        batch_means = self.batch_area[credited] / self.batch_span[credited]
+        std_error = (float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
+                     if len(batch_means) >= 2 else float("nan"))
+        return SimResult(
+            per_node_avg_age=per_node,
+            grand_mean=float(per_node.mean()),
+            std_error=std_error,
+            # accumulate adds in order, as the batches were run; a sum would not
+            virtual_time=float(np.add.accumulate(self.batch_time)[-1]),
+            rounds=updates,
+            delivery_fraction=self.count / updates,
+        )
+
+
+def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, ws):
+    """The dense path of :meth:`_Run.credit`: rounds with few misses.
 
     Round j starts (and generates its update) at ``t_edges[j]`` and lasts
-    ``y[j]``; the chunk ends at ``t_edges[-1]``.  Node i receives round j's
-    update at ``t_edges[j] + delays[j, i]`` when ``delivered[j, i]``; every
-    round delivers to at least one node.  The area and span a node gains are
-    those between its last delivery before the chunk (``last_wall``, of the
-    update generated at ``last_gen``) and its last delivery in it, which
-    becomes the new ``last_wall``/``last_gen``; a node with no delivery in
-    the chunk keeps its state.  Returns the area and the span added, summed
-    over all nodes, per credited slice, in order.
-
-    A chunk in which at most ``_DENSE_MISS_SHARE`` of its (round, node)
-    pairs miss the update is credited round by round in one call
-    (:func:`_credit_rounds`, with ``delivered`` None when nothing misses);
-    any other chunk by its deliveries (:func:`_credit_deliveries`), in
-    slices of ``_SLICE_ELEMENTS``.  On the same rounds the two paths leave
-    the same state up to the rounding of the area: spans, counts and the
-    last deliveries are the same floats on both.  One call in place of
-    several moves the area, and the spans' sums of differences, by rounding
-    alone.
-    """
-    misses = delivered.size - np.count_nonzero(delivered)
-    if misses <= _DENSE_MISS_SHARE * delivered.size:
-        return [_credit_rounds(t_edges, y, delays, delivered if misses else None, last_wall,
-                               last_gen, area, span, count, ws)]
-    step = max(1, _SLICE_ELEMENTS // delays.shape[1])
-    t_prev = t_edges[:-1]
-    return [_credit_deliveries(t_prev[i:i + step], delays[i:i + step], delivered[i:i + step],
-                               last_wall, last_gen, area, span, count, ws)
-            for i in range(0, len(y), step)]
-
-
-def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws):
-    """The dense path of :func:`_credit_chunk`: rounds with few misses.
+    ``y[j]``; node i receives it ``delays[j, i]`` later if ``delivered[j,
+    i]``, and every round delivers to some node.  Returns ``(hit,
+    added_area, wall, gen, count)``: the nodes delivered to, the area each
+    gains from its last delivery before the rounds (``last_wall``, of the
+    update generated at ``last_gen``) to its last in them (at ``wall``, of
+    the update generated at ``gen``), and the deliveries per node.
 
     Over round j, node i's age starts at ``A[j, i]`` and grows at slope one
     for ``e[j, i] = min(delays[j, i], y[j])``, until the update arrives or
@@ -376,7 +424,7 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, spa
     integral += first_age * delays[0]
     integral += 0.5 * np.einsum("j,j->", y, y)
     if delivered is None:
-        count += rounds
+        count = rounds
         hit = slice(None)
         gen, delay = t_edges[-2], delays[-1]
     else:
@@ -385,7 +433,7 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, spa
         # The misses node by node, each node's in round order.
         order = np.argsort(i * rounds + j)
         miss, j, i = miss[order], j[order], i[order]
-        count += rounds - np.bincount(i, minlength=n)
+        count = rounds - np.bincount(i, minlength=n)
         # The first round of the run of consecutive misses that holds each miss.
         starts = np.ones(miss.size, bool)
         np.not_equal(miss[1:], miss[:-1] + n, out=starts[1:])
@@ -411,16 +459,11 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, area, spa
     tail = t_end - wall
     added_area = (integral[hit] + head * (last_wall[hit] - last_gen[hit] + 0.5 * head)
                   - tail * (delay + 0.5 * tail))
-    added_span = wall - last_wall[hit]
-    area[hit] += added_area
-    span[hit] += added_span
-    last_wall[hit] = wall
-    last_gen[hit] = gen
-    return float(added_area.sum()), float(added_span.sum())
+    return hit, added_area, wall, gen, count
 
 
-def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, area, span, count, ws):
-    """The sparse path of :func:`_credit_chunk`: a slice with many misses.
+def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, ws):
+    """The sparse path of :meth:`_Run.credit`: a slice with many misses.
 
     A delivery after a gap ``g`` since the node's previous one, whose age
     right after that previous delivery was ``a0``, adds the trapezoid
@@ -431,6 +474,7 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, area, spa
     of each node takes its predecessor from ``last_wall``/``last_gen``.  The
     slice-sized arrays are buffers of ``ws``; only the index of the
     deliveries is allocated anew (``np.flatnonzero`` takes no ``out``).
+    Returns what :func:`_credit_rounds` does, for rounds starting at ``t_prev``.
     """
     rounds, n = delays.shape
     node_major = ws.array("node_major", (n, rounds))
@@ -462,14 +506,7 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, area, spa
     np.multiply(0.5, g, out=delay)
     np.multiply(delay, g, out=delay)
     np.add(term, delay, out=term)
-    added_area = np.add.reduceat(term, first)
-    added_span = wall[last] - last_wall[hit]
-    area[hit] += added_area
-    span[hit] += added_span
-    count += per_node
-    last_wall[hit] = wall[last]
-    last_gen[hit] = gen
-    return float(added_area.sum()), float(added_span.sum())
+    return hit, np.add.reduceat(term, first), wall[last], gen, per_node
 
 
 def _warmup_blocks(warmup: int, n: int):
@@ -532,60 +569,22 @@ def _warmup_state(config: SimConfig, replication: int, ws: _Workspace):
 
 def _simulate_single(config: SimConfig, replication: int) -> SimResult:
     n = config.n
-    policy = config.policy
-    model = config.model
     ws = _Workspace()
-    last_wall, last_gen = _warmup_state(config, replication, ws)
-    delay_stream, group_stream = _streams(config, replication, config.warmup)
-    area, span = np.zeros((2, n))
-    count = np.zeros(n, dtype=np.int64)
-    t = 0.0
-    chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
-
     batches = max(1, min(_MAX_BATCHES, config.updates // 50))
+    run = _Run(*_warmup_state(config, replication, ws), batches)
+    delay_stream, group_stream = _streams(config, replication, config.warmup)
+    chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
     base, extra = divmod(config.updates, batches)
-    # (batch, rounds) of every chunk: each batch cut into pieces of at most
-    # chunk_rounds.
-    lengths = [base + (b < extra) for b in range(batches)]
-    chunks = [(b, min(chunk_rounds, rounds - done))
-              for b, rounds in enumerate(lengths)
-              for done in range(0, rounds, chunk_rounds)]
-    batch_area, batch_span, batch_time = np.zeros((3, batches))
-
-    for b, r in chunks:
-        delays = model.sample(delay_stream, out=ws.array("delays", (r, n)))
-        y, delivered = run_rounds(policy, delays, group_stream=group_stream, workspace=ws)
-        cs = np.cumsum(y)
-        # Start of each round, then the end of the chunk.
-        t_edges = t + np.concatenate(([0.0], cs))
-        for added_area, added_span in _credit_chunk(
-            t_edges, y, delays, delivered, last_wall, last_gen, area, span, count, ws
-        ):
-            batch_area[b] += added_area
-            batch_span[b] += added_span
-        batch_time[b] += float(cs[-1])
-        t += float(cs[-1])
-
-    starved = np.flatnonzero((count == 0) | (span <= 0.0))
-    if starved.size:
-        raise SimulationError(
-            f"nodes {starved.tolist()} received no update after warmup; "
-            f"average age is undefined (try more rounds)"
-        )
-
-    per_node = area / span
-    batch_means = batch_area[batch_span > 0.0] / batch_span[batch_span > 0.0]
-    std_error = (float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
-                 if len(batch_means) >= 2 else float("nan"))
-    return SimResult(
-        per_node_avg_age=per_node,
-        grand_mean=float(per_node.mean()),
-        std_error=std_error,
-        # accumulate adds in order, as the batches were run; a sum would not
-        virtual_time=float(np.add.accumulate(batch_time)[-1]),
-        rounds=config.updates,
-        delivery_fraction=count / config.updates,
-    )
+    for b in range(batches):
+        # The batch's rounds, cut into chunks of at most chunk_rounds.
+        rounds = base + (b < extra)
+        for done in range(0, rounds, chunk_rounds):
+            delays = config.model.sample(
+                delay_stream, out=ws.array("delays", (min(chunk_rounds, rounds - done), n)))
+            y, delivered = run_rounds(config.policy, delays, group_stream=group_stream,
+                                      workspace=ws)
+            run.credit(b, y, delays, delivered, ws)
+    return run.result(config.updates)
 
 
 def replicate(config: SimConfig) -> SimResult:

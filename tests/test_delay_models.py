@@ -83,10 +83,11 @@ def reference_shifted_sample(model, stream, size=None):
 
 def reference_hyper_sample(model, stream, size=None):
     """One uniform per delay, element by element: u in component c's interval
-    [low_c, high_c) (the last one up to 1.0) gives
-    (log width_c - log(high_c - u)) / rate_c."""
+    [low_c, high_c) (the last of positive weight up to 1.0, any after it
+    empty at 1.0) gives (log width_c - log(high_c - u)) / rate_c."""
     u = stream.generator.random(size)
-    edges = [float(e) for e in np.cumsum(model.weights)[:-1]]
+    last = max(c for c, w in enumerate(model.weights) if w > 0)
+    edges = [float(e) if c < last else 1.0 for c, e in enumerate(np.cumsum(model.weights)[:-1])]
     lows, highs = [0.0, *edges], [*edges, 1.0]
     draws = np.empty_like(u)
     for i, x in enumerate(u.flat):
@@ -180,10 +181,14 @@ class TestSamplersBitIdentical:
         # the log form is exact to a few 1e-16 absolute
         assert drawn.tolist() == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
-    def test_uniform_above_the_last_cumulative_weight(self):
+    @pytest.mark.parametrize("rates, weights", [((1.0, 3.0), (0.5, 0.5 - 5e-13)),
+                                                ((1.0, 3.0, 6.0), (0.5, 0.5 - 5e-13, 0.0))],
+                             ids=["two", "zero_weight_last"])
+    def test_uniform_above_the_last_cumulative_weight(self, rates, weights):
         # weights summing to 1 - 5e-13 leave room for a uniform above the
-        # last edge; the last component owns it, up to 1.0
-        model = HyperExponential((1.0, 3.0), (0.5, 0.5 - 5e-13))
+        # last edge; the last component of positive weight owns it, up to
+        # 1.0, and a zero-weight one after it owns nothing
+        model = HyperExponential(rates, weights)
         assert math.fsum(model.weights) < 1.0
         last_edge = float(np.cumsum(model.weights)[-1])
         uniforms = [0.2, last_edge, math.nextafter(last_edge, 1.0), 1.0 - 2.0**-53]
