@@ -41,7 +41,7 @@ from .experiments import (
     run_validation,
     simulate_point,
 )
-from .simulator import SimulationError
+from .simulator import PreSelectedK, SimulationError, WaitForAll
 
 _SCHEMES_BY_CLI_NAME = {scheme.cli_name: scheme for scheme in SCHEMES.values()}
 
@@ -194,7 +194,7 @@ def _build_model(args):
 
 def _scheme_k(scheme, n: int, k) -> int:
     """The acknowledgement count that ``--scheme`` waits for out of ``--n``."""
-    if not scheme.has_k:
+    if scheme.policy is WaitForAll:
         if k is not None:
             raise _CliError(f"--k does not apply to --scheme {scheme.cli_name}")
         return n
@@ -251,13 +251,15 @@ def _simulate(args) -> int:
     scheme = _SCHEMES_BY_CLI_NAME[args.scheme]
     model = _build_model(args)
     k = _scheme_k(scheme, args.n, args.k)
-    if args.regroup is not None and scheme.name != "preselected_k":
+    if args.regroup is None:
+        policy = WaitForAll() if scheme.policy is WaitForAll else scheme.policy(k)
+    elif scheme.policy is PreSelectedK:
+        policy = PreSelectedK(k, args.regroup.replace("-", "_"))
+    else:
         raise _CliError(f"--regroup does not apply to --scheme {scheme.cli_name}")
     seed = _seed(args)
-    result, row = simulate_point(
-        model, scheme.name, args.n, k, args.updates, args.warmup, seed, args.replications,
-        (args.regroup or "per-update").replace("-", "_"),
-    )
+    result, row = simulate_point(model, policy, args.n, args.updates, args.warmup, seed,
+                                 args.replications)
     echo = {
         "scheme": args.scheme,
         "model": model.label(),

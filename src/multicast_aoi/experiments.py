@@ -1,9 +1,9 @@
 """The scheme registry, scenario sweeps and the simulation-vs-theory grid.
 
-:data:`SCHEMES` maps each stopping scheme to its CLI name, its policy and
-the ages a simulation of it is compared with.  :func:`simulate_point` turns
-a ``(model, scheme_name, n, k)`` point into a result and a table row.  A
-sweep is a list of points, one comprehension per figure and for the grid;
+:data:`SCHEMES` maps each stopping scheme to its CLI name, its policy class
+and the ages a simulation of it is compared with.  A point is ``(model,
+policy, n)``; :func:`simulate_point` turns it into a result and a table row.
+A sweep is a list of points, one comprehension per figure and for the grid;
 :func:`run_sweep` seeds point i with ``_point_seed(seed, i)``, so tables are
 byte-stable and any row can be rerun alone.  The figures sort their rows
 by (scheme, model, n, k); the grid keeps its points' order.
@@ -40,6 +40,7 @@ from .simulator import (
     SimResult,
     StoppingPolicy,
     WaitForAll,
+    _policy_threshold,
     replicate,
 )
 
@@ -67,12 +68,11 @@ _AgeFn = Callable[[float, float, int, int], AgeResult]
 
 @dataclass(frozen=True)
 class Scheme:
-    """A stopping scheme: its names, its policy and its reference ages.
+    """A stopping scheme: its names, its policy class and its reference ages.
 
-    ``policy(k, regroup)`` builds the stopping policy.  Each age function
-    takes ``(rate, shift, n, k)``: ``estimated`` is the exact age that a
-    simulation of the policy estimates, ``approx`` the large-n
-    approximation (None where there is none), and ``published`` the
+    Each age function takes ``(rate, shift, n, k)``: ``estimated`` is the
+    exact age that a simulation of the policy estimates, ``approx`` the
+    large-n approximation (None where there is none), and ``published`` the
     paper's closed form where it is not ``estimated``.  The functions call
     the analytics by their module-level names at call time, so wrapping
     those names (as a tracer does) sees every call.
@@ -80,24 +80,22 @@ class Scheme:
 
     name: str
     cli_name: str
-    policy: Callable[[int, str], StoppingPolicy]
+    policy: type
     estimated: _AgeFn
     approx: Callable[[float, float, int, int], Optional[AgeResult]]
     published: Optional[_AgeFn] = None
-    has_k: bool = True
 
 
 SCHEMES = MappingProxyType({scheme.name: scheme for scheme in (
     Scheme(
         "wait_for_all", "wait-for-all",
-        policy=lambda k, regroup: WaitForAll(),
+        policy=WaitForAll,
         estimated=lambda rate, shift, n, k: age_wait_for_all(rate, shift, n),
         approx=lambda rate, shift, n, k: None,
-        has_k=False,
     ),
     Scheme(
         "earliest_k", "earliest-k",
-        policy=lambda k, regroup: EarliestK(k),
+        policy=EarliestK,
         estimated=lambda rate, shift, n, k: age_earliest_k(rate, shift, n, k),
         approx=lambda rate, shift, n, k: (
             age_earliest_k_approx(rate, shift, k / n) if k < n else None
@@ -107,12 +105,13 @@ SCHEMES = MappingProxyType({scheme.name: scheme for scheme in (
     # the paper's closed form for this scheme is biased at k < n.
     Scheme(
         "preselected_k", "pre-selected-k",
-        policy=lambda k, regroup: PreSelectedK(k, regroup),
+        policy=PreSelectedK,
         estimated=lambda rate, shift, n, k: age_preselected_k_process(rate, shift, n, k),
         approx=lambda rate, shift, n, k: age_preselected_k_approx(rate, shift, n, k),
         published=lambda rate, shift, n, k: age_preselected_k(rate, shift, n, k),
     ),
 )})
+_SCHEME_OF_POLICY = {scheme.policy: scheme for scheme in SCHEMES.values()}
 
 
 def _column(f) -> str:
@@ -148,31 +147,31 @@ class SweepRow:
 CSV_COLUMNS = tuple(_column(f) for f in fields(SweepRow))
 
 
-def simulate_point(model: DelayModel, scheme: str, n: int, k: int, updates: int, warmup: int,
-                   seed: int, replications: int = 1,
-                   regroup: str = "per_update") -> tuple[SimResult, SweepRow]:
-    """Simulate one point: its result, and its table row.
+def simulate_point(model: DelayModel, policy: StoppingPolicy, n: int, updates: int,
+                   warmup: int, seed: int, replications: int = 1) -> tuple[SimResult, SweepRow]:
+    """Simulate the point ``(model, policy, n)``: its result, and its table row.
 
-    The analytic columns (exact and approximate age, whether k is the
-    closed-form k*) exist for shifted-exponential links only.  A group of
-    k < n kept for the whole run (``regroup="fixed"``) has no exact or
-    approximate age: both describe per-update regrouping, another process.
+    The row's k is the policy's threshold.  The analytic columns (exact and
+    approximate age, whether k is the closed-form k*) exist for
+    shifted-exponential links only.  A group of k < n kept for the whole
+    run (``PreSelectedK(k, "fixed")``) has no exact or approximate age:
+    both describe per-update regrouping, another process.
     """
-    spec = SCHEMES[scheme]
-    config = SimConfig(n=n, policy=spec.policy(k, regroup), model=model, updates=updates,
+    spec = _SCHEME_OF_POLICY[type(policy)]
+    config = SimConfig(n=n, policy=policy, model=model, updates=updates,
                        seed=seed, warmup=warmup, replications=replications)
     result = replicate(config)
-    n, k = config.n, _check_count("k", k)
+    n, k = config.n, _policy_threshold(policy, config.n)
     lam = shift = exact = approx = None
     kstar = False
     if isinstance(model, ShiftedExponential):
         lam, shift = model.rate, model.shift
-        if regroup == "per_update" or k == n:
+        if not (isinstance(policy, PreSelectedK) and policy.regroup == "fixed" and k < n):
             exact = spec.estimated(lam, shift, n, k).total
             approx_age = spec.approx(lam, shift, n, k)
             approx = None if approx_age is None else approx_age.total
         kstar = k == optimal_k_closed_form(lam, shift, n)
-    return result, SweepRow(scheme, model.label(), lam, shift, n, k,
+    return result, SweepRow(spec.name, model.label(), lam, shift, n, k,
                             result.grand_mean, result.std_error, exact, approx, kstar)
 
 
@@ -187,7 +186,7 @@ def run_sweep(
     seed: int,
     replications: int = 1,
 ) -> list[SweepRow]:
-    """Simulate each ``(model, scheme_name, n, k)`` point, in order, into a row.
+    """Simulate each ``(model, policy, n)`` point, in order, into a row.
 
     Point i is seeded with ``_point_seed(seed, i)``, from ``seed`` and i
     alone.  The rows come back in the order of the points.
@@ -197,9 +196,9 @@ def run_sweep(
         raise ValueError("a sweep needs at least one point")
     _check_seed(seed)
     return [
-        simulate_point(model, scheme, n, k, rounds, warmup, _point_seed(seed, index),
+        simulate_point(model, policy, n, rounds, warmup, _point_seed(seed, index),
                        replications)[1]
-        for index, (model, scheme, n, k) in enumerate(points)
+        for index, (model, policy, n) in enumerate(points)
     ]
 
 
@@ -226,7 +225,7 @@ def run_fig4(
     are attached for the exponential rows.
     """
     points = [
-        (model, "earliest_k", 100, k)
+        (model, EarliestK(k), 100)
         for model in (ShiftedExponential(2.0, 0.0), HyperExponential((1.0, 6.0), (0.4, 0.6)))
         for k in _k_values(100, k_step)
     ]
@@ -246,9 +245,9 @@ def run_fig5(
     that row carries ``kstar_flag``.  The three rates form one sweep.
     """
     points = [
-        (ShiftedExponential(rate, 1.0), scheme, 100, k)
+        (ShiftedExponential(rate, 1.0), policy(k), 100)
         for rate in (0.5, 1.0, 2.0)
-        for scheme in ("earliest_k", "preselected_k")
+        for policy in (EarliestK, PreSelectedK)
         for k in _k_values(100, k_step, extra=(optimal_k_closed_form(rate, 1.0, 100),))
     ]
     return _sorted(run_sweep(points, rounds, warmup, seed, replications))
@@ -263,7 +262,7 @@ def run_fig6(
 ) -> list[SweepRow]:
     """Minimum average age versus network size at rate 1, shift 1, stopping at k*."""
     model = ShiftedExponential(1.0, 1.0)
-    points = [(model, "earliest_k", n, optimal_k_closed_form(1.0, 1.0, n)) for n in n_values]
+    points = [(model, EarliestK(optimal_k_closed_form(1.0, 1.0, n)), n) for n in n_values]
     return _sorted(run_sweep(points, rounds, warmup, seed, replications))
 
 
@@ -310,35 +309,31 @@ def run_validation(
     seed: int = DEFAULT_SEED,
     warmup: int = 1000,
     z_threshold: float = 4.0,
-    exact_age_fn: Optional[Callable[[str, float, float, int, int], float]] = None,
 ) -> ValidationReport:
     """Run the full oracle-agreement grid and score each cell by z.
 
     Grid: all three schemes, (rate, shift) in {(1,0),(1,1),(2,0),(2,1)},
     n in {1,2,5,10}, k in {1, ceil(n/2), n}.  A cell passes when the
     simulated grand mean lies within ``z_threshold`` standard errors of
-    the exact formula.  ``exact_age_fn`` can replace the analytic side,
-    which lets the harness itself be mutation-tested.
+    the exact formula.
     """
     if not z_threshold > 0:
         raise ValueError(f"z threshold must be positive, got {z_threshold}")
     points = [
-        (ShiftedExponential(lam, shift), scheme, n, k)
+        (ShiftedExponential(lam, shift), policy, n)
         for lam, shift in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0))
         for n in (1, 2, 5, 10)
-        for scheme in SCHEMES
-        # A scheme without k (wait-for-all) runs once per (lam, shift, n).
-        for k in (sorted({1, math.ceil(n / 2), n}) if SCHEMES[scheme].has_k else (n,))
+        for spec in SCHEMES.values()
+        # Wait-for-all has no k: it runs once per (lam, shift, n).
+        for policy in ([WaitForAll()] if spec.policy is WaitForAll
+                       else [spec.policy(k) for k in sorted({1, math.ceil(n / 2), n})])
     ]
     cells = []
     for row in run_sweep(points, rounds, warmup, seed):
-        exact = row.exact_age if exact_age_fn is None else exact_age_fn(
-            row.scheme, row.lam, row.shift, row.n, row.k
-        )
         if row.sim_stderr > 0 and math.isfinite(row.sim_stderr):
-            z = abs(row.sim_age - exact) / row.sim_stderr
+            z = abs(row.sim_age - row.exact_age) / row.sim_stderr
         else:
             z = math.inf
         cells.append(ValidationCell(row.scheme, row.lam, row.shift, row.n, row.k, row.sim_age,
-                                    row.sim_stderr, exact, z, z <= z_threshold))
+                                    row.sim_stderr, row.exact_age, z, z <= z_threshold))
     return ValidationReport(cells=tuple(cells), z_threshold=z_threshold)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from multicast_aoi import (
+    EarliestK,
     RandomStream,
     ShiftedExponential,
     age_earliest_k,
@@ -43,7 +44,7 @@ from multicast_aoi import (
     (lambda: order_stat_moments(1, 1, 2, 5.0), "n must be an integer, got 5.0"),
     (lambda: RandomStream(1).skip(-1), "draws must be >= 0, got -1"),
     (lambda: RandomStream(1).skip(2.0), "draws must be an integer, got 2.0"),
-    (lambda: run_sweep([(ShiftedExponential(1.0), "earliest_k", 2, 1)], 1000.0, 10, 1),
+    (lambda: run_sweep([(ShiftedExponential(1.0), EarliestK(1), 2)], 1000.0, 10, 1),
      "rounds must be an integer, got 1000.0"),
     (lambda: run_fig4(k_step=2.5, rounds=100), "k step must be an integer, got 2.5"),
 ], ids=["harmonic", "harmonic2", "wait_for_all", "earliest_k", "preselected_k",

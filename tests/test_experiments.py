@@ -1,6 +1,7 @@
 """Sweep tables, figure reproductions, and the validation grid."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,6 +29,7 @@ from multicast_aoi import (
 from multicast_aoi.cli import csv_text, json_text, main, table
 from multicast_aoi.delay_models import HyperExponential, ShiftedExponential
 from multicast_aoi.experiments import CSV_COLUMNS, _point_seed, simulate_point
+from multicast_aoi.simulator import _policy_threshold
 
 
 def rows_to_csv_text(rows):
@@ -90,13 +92,12 @@ class TestSchemeRegistry:
             assert set(SCHEMES) == set(chains)
             for name, (policy, estimated, approx) in chains.items():
                 scheme = SCHEMES[name]
-                assert scheme.policy(k, "per_update") == policy
+                assert scheme.policy is type(policy)
                 assert scheme.estimated(rate, shift, n, k).total == estimated
                 got = scheme.approx(rate, shift, n, k)
                 assert (None if got is None else got.total) == approx
             published = SCHEMES["preselected_k"].published(rate, shift, n, k)
             assert published.total == age_preselected_k(rate, shift, n, k).total
-            assert SCHEMES["preselected_k"].policy(k, "fixed") == PreSelectedK(k, "fixed")
 
 
 @pytest.fixture(scope="module")
@@ -104,38 +105,80 @@ def default_report():
     return run_validation(rounds=20_000, seed=7)
 
 
+class TestSimulatePoint:
+    """A point is (model, policy, n): the policy alone says what its row runs."""
+
+    @staticmethod
+    def policies(n):
+        return [WaitForAll()] + [
+            policy for k in range(1, n + 1)
+            for policy in (EarliestK(k), PreSelectedK(k), PreSelectedK(k, "fixed"))
+        ]
+
+    @pytest.mark.parametrize("model", [ShiftedExponential(1.0, 0.5),
+                                       HyperExponential((1.0, 6.0), (0.4, 0.6))],
+                             ids=["shifted_exp", "hyperexp"])
+    def test_a_wait_for_all_row_has_k_equal_to_n(self, model):
+        for n in (1, 4):
+            _, row = simulate_point(model, WaitForAll(), n, 200, 10, 1)
+            assert (row.scheme, row.n, row.k) == ("wait_for_all", n, n)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_only_a_kept_group_below_n_has_no_exact_or_approximate_age(self, n):
+        model = ShiftedExponential(1.0, 0.5)
+        for policy in self.policies(n):
+            _, row = simulate_point(model, policy, n, 200, 10, 1)
+            k = _policy_threshold(policy, n)
+            assert SCHEMES[row.scheme].policy is type(policy)
+            assert (row.n, row.k) == (n, k)
+            kept = isinstance(policy, PreSelectedK) and policy.regroup == "fixed" and k < n
+            assert (row.exact_age is None) == kept, policy
+            assert row.approx_age is None or not kept, policy
+
+    def test_scheme_names_and_regroup_strings_are_not_points(self):
+        # a point once carried a scheme name, a separate k and a regroup
+        # string, so a wait-for-all row could read k = 9 at n = 5 and a
+        # misspelt regroup ran earliest-k without its exact age
+        model = ShiftedExponential(1.0, 0.5)
+        with pytest.raises(KeyError):
+            simulate_point(model, "wait_for_all", 5, 9, 200, 10, 1)
+        with pytest.raises(TypeError, match="regroup"):
+            simulate_point(model, "earliest_k", 5, 2, 200, 10, 1, regroup="fixed")
+
+
 class TestRunSweep:
     def test_rows_follow_the_points_and_repeat(self):
         model = ShiftedExponential(1.0, 0.0)
-        points = [(model, "earliest_k", 5, 3), (model, "wait_for_all", 5, 5),
-                  (model, "earliest_k", 5, 1)]
+        points = [(model, EarliestK(3), 5), (model, WaitForAll(), 5), (model, EarliestK(1), 5)]
         rows = run_sweep(points, rounds=500, warmup=50, seed=11)
-        assert [(r.scheme, r.n, r.k) for r in rows] == [(s, n, k) for _, s, n, k in points]
+        assert [(r.scheme, r.n, r.k) for r in rows] == [
+            ("earliest_k", 5, 3), ("wait_for_all", 5, 5), ("earliest_k", 5, 1)
+        ]
         assert run_sweep(points, rounds=500, warmup=50, seed=11) == rows
         # a point's seed depends on its position alone
         assert run_sweep(points[:1], rounds=500, warmup=50, seed=11) == rows[:1]
 
     def test_numpy_integer_points_give_python_int_rows(self):
         model = ShiftedExponential(1.0, 1.0)
-        rows = run_sweep([(model, "earliest_k", np.int64(3), np.int64(2))], 200, 10, 1)
+        rows = run_sweep([(model, EarliestK(np.int64(2)), np.int64(3))], 200, 10, 1)
         assert type(rows[0].n) is int and type(rows[0].k) is int
-        assert rows == run_sweep([(model, "earliest_k", 3, 2)], 200, 10, 1)
+        assert rows == run_sweep([(model, EarliestK(2), 3)], 200, 10, 1)
         assert json.loads(json_text(rows))[0]["n"] == 3
 
     @staticmethod
     def figure_points(figure):
         """Each figure's point list, in order, written out from its description."""
         if figure == "fig4":
-            return [(model, "earliest_k", 100, k)
+            return [(model, EarliestK(k), 100)
                     for model in (ShiftedExponential(2.0, 0.0),
                                   HyperExponential((1.0, 6.0), (0.4, 0.6)))
                     for k in (1, 51, 100)]
         if figure == "fig5":
-            return [(ShiftedExponential(rate, 1.0), scheme, 100, k)
+            return [(ShiftedExponential(rate, 1.0), policy(k), 100)
                     for rate, kstar in ((0.5, 62), (1.0, 73), (2.0, 83))
-                    for scheme in ("earliest_k", "preselected_k")
+                    for policy in (EarliestK, PreSelectedK)
                     for k in sorted({1, 51, 100, kstar})]
-        return [(ShiftedExponential(1.0, 1.0), "earliest_k", n, k)
+        return [(ShiftedExponential(1.0, 1.0), EarliestK(k), n)
                 for n, k in ((1, 1), (4, 3), (9, 7))]
 
     @pytest.mark.parametrize("figure, run", [
@@ -149,18 +192,17 @@ class TestRunSweep:
         seed, rounds, warmup = 31, 2_000, 100
         rows = run(rounds=rounds, warmup=warmup, seed=seed)
         points = self.figure_points(figure)
-        index = {(model.label(), scheme, n, k): i
-                 for i, (model, scheme, n, k) in enumerate(points)}
+        index = {(model.label(), policy, n): i for i, (model, policy, n) in enumerate(points)}
         assert len(rows) == len(points)
         for row in rows:
-            i = index[row.model, row.scheme, row.n, row.k]
+            i = index[row.model, SCHEMES[row.scheme].policy(row.k), row.n]
             _, alone = simulate_point(*points[i], rounds, warmup, _point_seed(seed, i))
             assert repr(alone) == repr(row)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         # point seeds wrap mod 2**64; the sweep seed itself must not
-        points = [(ShiftedExponential(1.0, 0.0), "earliest_k", 5, 3)]
+        points = [(ShiftedExponential(1.0, 0.0), EarliestK(3), 5)]
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             run_sweep(points, rounds=500, warmup=50, seed=seed)
 
@@ -180,16 +222,18 @@ class TestValidationGrid:
         assert len(report.cells) == 4 * (3 + 5 + 7 + 7)
         assert all("pass" in line or "cells" in line for line in report.lines())
 
-    def test_mutated_formula_fails_loudly(self):
-        def broken(scheme, lam, shift, n, k):
-            if scheme == "wait_for_all":
-                return age_wait_for_all(lam, shift, n).total
-            if scheme == "earliest_k":
-                result = age_earliest_k(lam, shift, n, k)
-                return result.total - 2 * result.breakdown["variance_ratio_term"]
-            return age_preselected_k_process(lam, shift, n, k).total
+    def test_mutated_formula_fails_loudly(self, monkeypatch):
+        # the registry looks the analytics up by name at call time
+        def broken(lam, shift, n, k):
+            result = age_earliest_k(lam, shift, n, k)
+            term = result.breakdown["variance_ratio_term"]
+            return dataclasses.replace(
+                result, total=result.total - 2 * term,
+                breakdown={**result.breakdown, "variance_ratio_term": -term},
+            )
 
-        report = run_validation(rounds=20_000, seed=7, exact_age_fn=broken)
+        monkeypatch.setattr("multicast_aoi.experiments.age_earliest_k", broken)
+        report = run_validation(rounds=20_000, seed=7)
         assert not report.passed
         failing = [c for c in report.cells if not c.passed]
         assert failing and all(c.scheme == "earliest_k" for c in failing)
