@@ -5,6 +5,12 @@ json`` dumps the record, ``--format csv`` writes its table (dataclass rows
 with one column per field, or the flattened results), and the human
 format writes labelled lines that the command holds as data.
 
+A call builds only its own command's flags: the parser lists every command
+by name and help line, but adds flags to the one that ``argv`` names (to
+all of them when it names none, as for ``-h``).  Each ``add_argument``
+costs a help formatter and a terminal-size query, and adding the flags of
+all five commands once took half of a cold ``optimize`` call.
+
 Exit codes: 0 success, 1 validation-suite failure, 2 argument error
 (including a simulation too short to give every node an update, and an
 ``--output`` path that cannot be opened, which is opened before any work).
@@ -369,61 +375,79 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _analyze_flags(parser) -> None:
+    _add_scheme_flags(parser, "rejected here; analyze is closed-form only", n_required=False)
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="threshold ratio k/n for the earliest-k approximation")
+
+
+def _simulate_flags(parser) -> None:
+    _add_scheme_flags(parser, "mixture model 'r1,r2,...:w1,w2,...' instead of --lambda/--shift",
+                      n_required=True)
+    parser.add_argument("--updates", type=int, default=100_000)
+    _add_run_flags(parser)
+    parser.add_argument("--replications", type=int, default=1)
+    parser.add_argument("--regroup", choices=("per-update", "fixed"), default=None,
+                        help="pre-selected-k only: redraw the group per update (default) "
+                        "or keep nodes 0..k-1 as the group; a kept group of k < n shows no "
+                        "exact or approximate age, since both describe per-update regrouping")
+
+
+def _optimize_flags(parser) -> None:
+    _add_model_flags(parser)
+    parser.add_argument("--n", type=int, required=True)
+
+
+def _experiment_flags(parser) -> None:
+    parser.add_argument("figure", choices=tuple(_FIGURES))
+    parser.add_argument("--rounds", type=int, default=None,
+                        help=_figure_help("rounds per point", "rounds"))
+    _add_run_flags(parser)
+    parser.add_argument("--replications", type=int, default=1)
+    for dest, what in _FIGURE_FLAGS.items():
+        parser.add_argument("--" + dest.replace("_", "-"), type=int, default=None,
+                            help=_figure_help(what, dest))
+
+
+def _validate_flags(parser) -> None:
+    parser.add_argument("--rounds", type=int, default=100_000)
+    _add_run_flags(parser)
+    parser.add_argument("--z", type=float, default=4.0,
+                        help="failure threshold in standard errors")
+
+
+# Each command's handler, its help line, and what adds its own flags (after
+# the --format and --output that every command has).
+_COMMANDS = {
+    "analyze": (_analyze, "evaluate exact and approximate age formulas", _analyze_flags),
+    "simulate": (_simulate, "Monte Carlo estimate of the average age", _simulate_flags),
+    "optimize": (_optimize, "age-minimizing stopping threshold", _optimize_flags),
+    "experiment": (_experiment, "run a predefined sweep and emit its table", _experiment_flags),
+    "validate": (_validate, "simulation-vs-theory agreement grid", _validate_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, with the flags of ``command`` only (all if None)."""
     parser = argparse.ArgumentParser(
         prog="multicast-aoi",
         description="Average age of information for multicast status updates: "
         "closed forms, threshold optimization, and Monte Carlo simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--format", choices=("human", "csv", "json"), default="human")
-        p.add_argument("--output", default=None,
-                       help="write to this path instead of stdout (created or emptied first)")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("analyze", _analyze, "evaluate exact and approximate age formulas")
-    _add_scheme_flags(p, "rejected here; analyze is closed-form only", n_required=False)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="threshold ratio k/n for the earliest-k approximation")
-
-    p = command("simulate", _simulate, "Monte Carlo estimate of the average age")
-    _add_scheme_flags(p, "mixture model 'r1,r2,...:w1,w2,...' instead of --lambda/--shift",
-                      n_required=True)
-    p.add_argument("--updates", type=int, default=100_000)
-    _add_run_flags(p)
-    p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--regroup", choices=("per-update", "fixed"), default=None,
-                   help="pre-selected-k only: redraw the group per update (default) "
-                   "or keep nodes 0..k-1 as the group; a kept group of k < n shows no "
-                   "exact or approximate age, since both describe per-update regrouping")
-
-    p = command("optimize", _optimize, "age-minimizing stopping threshold")
-    _add_model_flags(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("experiment", _experiment, "run a predefined sweep and emit its table")
-    p.add_argument("figure", choices=tuple(_FIGURES))
-    p.add_argument("--rounds", type=int, default=None,
-                   help=_figure_help("rounds per point", "rounds"))
-    _add_run_flags(p)
-    p.add_argument("--replications", type=int, default=1)
-    for dest, what in _FIGURE_FLAGS.items():
-        p.add_argument("--" + dest.replace("_", "-"), type=int, default=None,
-                       help=_figure_help(what, dest))
-
-    p = command("validate", _validate, "simulation-vs-theory agreement grid")
-    p.add_argument("--rounds", type=int, default=100_000)
-    _add_run_flags(p)
-    p.add_argument("--z", type=float, default=4.0, help="failure threshold in standard errors")
+    for name, (_, summary, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            p.add_argument("--format", choices=("human", "csv", "json"), default="human")
+            p.add_argument("--output", default=None,
+                           help="write to this path instead of stdout (created or emptied first)")
+            add_flags(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -438,7 +462,7 @@ def main(argv=None) -> int:
         stream = contextlib.nullcontext(sys.stdout)
     with stream as args.stream:
         try:
-            return args.handler(args)
+            return _COMMANDS[args.command][0](args)
         except (_CliError, ValueError, SimulationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

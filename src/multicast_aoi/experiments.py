@@ -157,9 +157,9 @@ def simulate_point(model: DelayModel, policy: StoppingPolicy, n: int, updates: i
     run (``PreSelectedK(k, "fixed")``) has no exact or approximate age:
     both describe per-update regrouping, another process.
     """
-    spec = _SCHEME_OF_POLICY[type(policy)]
     config = SimConfig(n=n, policy=policy, model=model, updates=updates,
                        seed=seed, warmup=warmup, replications=replications)
+    spec = _SCHEME_OF_POLICY[type(policy)]  # after SimConfig has rejected a non-policy
     result = replicate(config)
     n, k = config.n, _policy_threshold(policy, config.n)
     lam = shift = exact = approx = None

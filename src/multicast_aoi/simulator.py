@@ -147,7 +147,11 @@ StoppingPolicy = Union[WaitForAll, EarliestK, PreSelectedK]
 
 
 def _policy_threshold(policy: StoppingPolicy, n: int) -> int:
-    """Acknowledgement count the policy waits for; validates 1 <= k <= n."""
+    """Acknowledgement count the policy waits for; validates the policy and 1 <= k <= n."""
+    if not isinstance(policy, StoppingPolicy):
+        raise ValueError(
+            f"policy must be a WaitForAll, EarliestK or PreSelectedK instance, got {policy!r}"
+        )
     return _check_kn(n if isinstance(policy, WaitForAll) else policy.k, n)[0]
 
 

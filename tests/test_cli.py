@@ -501,14 +501,71 @@ class TestExperimentAndValidate:
         assert "FAIL" in out
 
 
+def subcommands(parser):
+    return next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
+def action_fields(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+            for a in parser._actions]
+
+
+COMMANDS = ["analyze", "simulate", "optimize", "experiment", "validate"]
+
+
+class TestParserPerCommand:
+    """A call builds only its own command's flags, and parses as the full parser does."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_own_flags_match_the_full_build(self, command):
+        full, own = subcommands(cli.build_parser()), subcommands(cli.build_parser(command))
+        assert list(own) == COMMANDS
+        assert action_fields(own[command]) == action_fields(full[command])
+        for other in set(COMMANDS) - {command}:
+            assert [action.dest for action in own[other]._actions] == ["help"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_matches_the_full_build(self, capsys, command):
+        full = subcommands(cli.build_parser())[command].format_help()
+        assert run_cli([command, "-h"], capsys) == (0, full, "")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_flag_fails_as_in_the_full_build(self, capsys, command):
+        argv = [command, "--bogus"]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert run_cli(argv, capsys) == (exc.value.code, "", expected.err)
+        assert exc.value.code == 2 and expected.err
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["optimize", "--lambda", "1", "--shift", "1", "--n", "100"]
+        expected = run_cli(argv, capsys)
+        monkeypatch.setattr("sys.argv", ["multicast-aoi", *argv])
+        assert run_cli(None, capsys) == expected
+        assert expected[0] == 0 and expected[1]
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self, capsys):
-        code, _, _ = run_cli(["analyze", "--scheme", "earliest-k", "--bogus", "1"], capsys)
-        assert code == 2
+        # the usage lists every command, though only analyze's flags are built
+        code, out, err = run_cli(["analyze", "--scheme", "earliest-k", "--bogus", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "usage: multicast-aoi [-h] {analyze,simulate,optimize,experiment,validate} ...\n"
+        )
+        assert err.endswith("error: unrecognized arguments: --bogus 1\n")
 
     def test_missing_subcommand(self, capsys):
-        code, _, _ = run_cli([], capsys)
-        assert code == 2
+        code, out, err = run_cli([], capsys)
+        assert code == 2 and out == ""
+        assert err.endswith("error: the following arguments are required: command\n")
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)

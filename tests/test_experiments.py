@@ -140,10 +140,17 @@ class TestSimulatePoint:
         # string, so a wait-for-all row could read k = 9 at n = 5 and a
         # misspelt regroup ran earliest-k without its exact age
         model = ShiftedExponential(1.0, 0.5)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^policy must be"):
             simulate_point(model, "wait_for_all", 5, 9, 200, 10, 1)
         with pytest.raises(TypeError, match="regroup"):
             simulate_point(model, "earliest_k", 5, 2, 200, 10, 1, regroup="fixed")
+
+    @pytest.mark.parametrize("policy", ["earliest_k", EarliestK, None],
+                             ids=["string", "class", "none"])
+    def test_a_non_policy_is_a_value_error_naming_policy(self, policy):
+        # a string once raised a bare KeyError from the registry lookup
+        with pytest.raises(ValueError, match="^policy must be"):
+            simulate_point(ShiftedExponential(1.0, 0.5), policy, 5, 200, 10, 1)
 
 
 class TestRunSweep:

@@ -160,6 +160,21 @@ class TestRunRounds:
         np.testing.assert_array_equal(delivered, delays <= y[:, None])
 
 
+@pytest.mark.parametrize("policy", ["earliest_k", EarliestK, None],
+                         ids=["string", "class", "none"])
+class TestNonPolicyRejected:
+    """A non-policy is a ValueError naming ``policy``, not an AttributeError."""
+
+    def test_sim_config(self, policy):
+        with pytest.raises(ValueError, match="^policy must be"):
+            SimConfig(n=5, policy=policy, model=ShiftedExponential(1.0, 1.0), updates=200,
+                      seed=1)
+
+    def test_run_rounds(self, policy):
+        with pytest.raises(ValueError, match="^policy must be"):
+            run_rounds(policy, np.ones((2, 5)))
+
+
 class TestSlowestRankDraw:
     """Per-update groups enter only through the rank of their slowest member."""
 
