@@ -3,10 +3,13 @@
 :data:`SCHEMES` maps each stopping scheme to its CLI name, its policy class
 and the ages a simulation of it is compared with.  A point is ``(model,
 policy, n)``; :func:`simulate_point` turns it into a result and a table row.
-A sweep is a list of points, one comprehension per figure and for the grid;
-:func:`run_sweep` seeds point i with ``_point_seed(seed, i)``, so tables are
-byte-stable and any row can be rerun alone.  The figures sort their rows
-by (scheme, model, n, k); the grid keeps its points' order.
+A sweep is a list of points, one comprehension per figure and for the grid.
+:func:`run_sweep` runs the points of each link model as one group, on one
+draw of delays (common random numbers), seeded from the sweep's seed and
+the model alone, so tables are byte-stable and any model's points can be
+rerun alone; where they share one n, as in fig4 and fig5, so can any row.
+The figures sort their rows by (scheme, model, n, k); the grid keeps its
+points' order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .analytics import (
     AgeResult,
@@ -159,9 +164,15 @@ def simulate_point(model: DelayModel, policy: StoppingPolicy, n: int, updates: i
     """
     config = SimConfig(n=n, policy=policy, model=model, updates=updates,
                        seed=seed, warmup=warmup, replications=replications)
-    spec = _SCHEME_OF_POLICY[type(policy)]  # after SimConfig has rejected a non-policy
     result = replicate(config)
-    n, k = config.n, _policy_threshold(policy, config.n)
+    return result, _row(config, result)
+
+
+def _row(config: SimConfig, result: SimResult) -> SweepRow:
+    """The table row of a simulated config (see :func:`simulate_point`)."""
+    model, policy, n = config.model, config.policy, config.n
+    spec = _SCHEME_OF_POLICY[type(policy)]  # after SimConfig has rejected a non-policy
+    k = _policy_threshold(policy, n)
     lam = shift = exact = approx = None
     kstar = False
     if isinstance(model, ShiftedExponential):
@@ -171,12 +182,14 @@ def simulate_point(model: DelayModel, policy: StoppingPolicy, n: int, updates: i
             approx_age = spec.approx(lam, shift, n, k)
             approx = None if approx_age is None else approx_age.total
         kstar = k == optimal_k_closed_form(lam, shift, n)
-    return result, SweepRow(spec.name, model.label(), lam, shift, n, k,
-                            result.grand_mean, result.std_error, exact, approx, kstar)
+    return SweepRow(spec.name, model.label(), lam, shift, n, k,
+                    result.grand_mean, result.std_error, exact, approx, kstar)
 
 
-def _point_seed(seed: int, index: int) -> int:
-    return (seed + 1009 * (index + 1)) % 2**64
+def _group_seed(seed: int, model: DelayModel) -> int:
+    """The seed of a sweep's points on ``model``: hashed from ``seed`` and ``repr(model)``."""
+    key = tuple(repr(model).encode())
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 def run_sweep(
@@ -186,20 +199,33 @@ def run_sweep(
     seed: int,
     replications: int = 1,
 ) -> list[SweepRow]:
-    """Simulate each ``(model, policy, n)`` point, in order, into a row.
+    """Simulate each ``(model, policy, n)`` point into a row, in the points' order.
 
-    Point i is seeded with ``_point_seed(seed, i)``, from ``seed`` and i
-    alone.  The rows come back in the order of the points.
+    The points of one link model (one ``repr``) form a group, seeded with
+    ``_group_seed(seed, model)`` and run in lockstep on shared delays (see
+    :func:`~multicast_aoi.simulator.replicate`): each row keeps its own
+    law, and rows of one model are common-random-number estimates.  A row
+    depends on the other points only through its group's largest n.
     """
     _check_count("rounds", rounds, 100)
     if not points:
         raise ValueError("a sweep needs at least one point")
     _check_seed(seed)
-    return [
-        simulate_point(model, policy, n, rounds, warmup, _point_seed(seed, index),
-                       replications)[1]
-        for index, (model, policy, n) in enumerate(points)
-    ]
+    groups: dict = {}
+    for index, (model, policy, n) in enumerate(points):
+        groups.setdefault(repr(model), []).append(index)
+    rows: list = [None] * len(points)
+    for indices in groups.values():
+        model = points[indices[0]][0]
+        group_seed = _group_seed(seed, model)
+        configs = [
+            SimConfig(n=points[i][2], policy=points[i][1], model=model, updates=rounds,
+                      seed=group_seed, warmup=warmup, replications=replications)
+            for i in indices
+        ]
+        for i, config, result in zip(indices, configs, replicate(configs)):
+            rows[i] = _row(config, result)
+    return rows
 
 
 def _sorted(rows: list[SweepRow]) -> list[SweepRow]:

@@ -32,7 +32,7 @@ block costs no fresh pages.
 The warmup's sawtooth is not accounted: all it hands the measured rounds
 is each node's last warmup delivery, the generation and arrival times of
 that update.  So the warmup is scanned from its end, in blocks that double
-going back (see :func:`_warmup_state`), and the scan stops as soon as
+going back (see :func:`_warmup_states`), and the scan stops as soon as
 every node has a delivery; a threshold policy usually needs one small
 block.  Each block draws from fresh streams jumped to its first round, and
 the measured rounds draw from streams jumped past the whole warmup: every
@@ -45,13 +45,18 @@ rounds is cut into chunks; both crediting paths only read the state and
 hand back per-node increments, which one method applies.  Since each delay
 takes one uniform, in element order, the draws are the same whatever the
 layouts; only the rounding of round start times depends on the chunks.
+
+A sweep's runs on one link model form a group (see :func:`replicate`) that
+moves in lockstep, each run reading the first n columns of blocks drawn
+once, as wide as the group's largest n: drawing is the only stage that
+does not depend on the run.  A run alone is the group of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -193,7 +198,7 @@ def _slowest_rank_cdf(n: int, k: int) -> np.ndarray:
 def run_rounds(
     policy: StoppingPolicy,
     delays: np.ndarray,
-    group_stream: Optional[RandomStream] = None,
+    rank_uniforms: Optional[np.ndarray] = None,
     workspace: Optional[_Workspace] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve many update rounds at once.
@@ -202,11 +207,11 @@ def run_rounds(
     ``y[j]`` is round j's duration and ``delivered[j]`` is the boolean
     delivery mask.  Ties are broken toward the lowest node index.  A
     pre-selected policy with ``regroup="fixed"`` keeps the group of nodes
-    0..k-1 in every round and draws nothing; with ``per_update`` the groups
-    come from ``group_stream``, one uniform per round, and are never
-    materialized.  Ranking a round's delays (ties by node index), the
-    slowest member of a uniform k-group drawn independently of the delays
-    has rank R with
+    0..k-1 in every round and needs no uniforms; with ``per_update`` the
+    groups come from ``rank_uniforms``, one uniform in [0, 1) per round, and
+    are never materialized.  Ranking a round's delays (ties by node index),
+    the slowest member of a uniform k-group drawn independently of the
+    delays has rank R with
     P(R = r) = C(r-1, k-1)/C(n, k), r = k..n, whatever the delays are; so
     the R-th smallest delay as ``y`` gives ``(y, delivered)`` the law of an
     explicit group, ties included.  Without a ``workspace`` the caller owns
@@ -236,8 +241,8 @@ def run_rounds(
     if isinstance(policy, PreSelectedK) and policy.regroup == "fixed":
         y = delays[:, :k].max(axis=1)
     else:
-        if isinstance(policy, PreSelectedK) and group_stream is None:
-            raise ValueError("per-update pre-selected policy needs a group_stream")
+        if isinstance(policy, PreSelectedK):
+            rank_uniforms = _check_rank_uniforms(rank_uniforms, rounds)
         # A full in-place sort of the rows is faster here than a partition
         # for earliest-k's k-th smallest delay, and gives the same value.
         ordered = ws.array("sorted", (rounds, n))
@@ -247,9 +252,7 @@ def run_rounds(
             y = ordered[:, k - 1]
         else:
             # Column R - 1 of each sorted row, as a flat index.
-            pick = np.searchsorted(
-                _slowest_rank_cdf(n, k), group_stream.generator.random(rounds), side="right"
-            )
+            pick = np.searchsorted(_slowest_rank_cdf(n, k), rank_uniforms, side="right")
             pick += np.arange(k - 1, rounds * n, n)
             y = np.take(ordered, pick)
     np.less_equal(delays, y[:, None], out=delivered)
@@ -265,6 +268,18 @@ def run_rounds(
             room = k - np.count_nonzero(rows < y_tied, axis=1)
             delivered[tied] &= ~at_y | (np.cumsum(at_y, axis=1) <= room[:, None])
     return y, delivered
+
+
+def _check_rank_uniforms(u, rounds: int) -> np.ndarray:
+    if u is None:
+        raise ValueError("per-update pre-selected policy needs rank_uniforms")
+    u = np.asarray(u, dtype=float)
+    if u.shape != (rounds,):
+        raise ValueError(f"rank_uniforms must hold one uniform per round ({rounds}), "
+                         f"got shape {u.shape}")
+    if rounds and not (u.min() >= 0 and u.max() < 1):
+        raise ValueError("rank_uniforms must lie in [0, 1)")
+    return u
 
 
 @dataclass(frozen=True)
@@ -449,8 +464,9 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, ws):
         elapsed = np.concatenate(([0.0], np.cumsum(y)))
         age = elapsed[j] - np.where(run > 0, elapsed[run - 1], -opening_age)
         assumed = np.where(j > 0, y[j - 1], opening_age)
-        grow = np.minimum(delays.take(miss + n, mode="clip"), np.append(y, 0.0)[j + 1])
-        term = assumed * (y[j] - delays.take(miss)) + age * grow
+        # Indexed by (round, node): a flat take would copy a column view whole.
+        grow = np.minimum(delays[np.minimum(j + 1, rounds - 1), i], np.append(y, 0.0)[j + 1])
+        term = assumed * (y[j] - delays[j, i]) + age * grow
         integral += np.bincount(i, term, minlength=n)
         # The row of each node's last delivery in the rounds, -1 for none.
         row = np.full(n, rounds - 1)
@@ -529,75 +545,121 @@ def _warmup_blocks(warmup: int, n: int):
         yield end, rounds
 
 
-def _streams(config: SimConfig, replication: int, rounds: int):
-    """The delay and group streams of a replication, moved past ``rounds`` rounds."""
-    delay_stream = RandomStream(config.seed, 2 * replication)
-    group_stream = RandomStream(config.seed, 2 * replication + 1)
-    delay_stream.skip(rounds * config.n)
+def _streams(seed: int, replication: int, rounds: int, width: int):
+    """The delay and group streams of a replication, moved past ``rounds`` rounds of ``width``."""
+    delay_stream = RandomStream(seed, 2 * replication)
+    group_stream = RandomStream(seed, 2 * replication + 1)
+    delay_stream.skip(rounds * width)
     group_stream.skip(rounds)
     return delay_stream, group_stream
 
 
-def _warmup_state(config: SimConfig, replication: int, ws: _Workspace):
-    """Each node's last warmup delivery, as ``(last_wall, last_gen)``.
+def _draw(model: DelayModel, streams, rounds: int, width: int, ranked: bool, ws: _Workspace):
+    """A (rounds, width) block of delays, and its rank uniforms if ``ranked`` (else None)."""
+    delay_stream, group_stream = streams
+    delays = model.sample(delay_stream, out=ws.array("delays", (rounds, width)))
+    return delays, group_stream.generator.random(rounds) if ranked else None
+
+
+def _warmup_states(configs, replication: int, ranked: bool, ws: _Workspace) -> list:
+    """Each point's last warmup delivery per node, as a ``(last_wall, last_gen)`` array.
 
     Times are relative to the end of the warmup, where the measured rounds
     start.  Only that state survives the warmup, so it is built from the
     warmup's end: block by block, newest first (:func:`_warmup_blocks`),
-    each sampled and resolved from fresh streams moved to its first round,
-    until every node has a delivery or round 0 has been scanned.  A node
-    with no warmup delivery keeps the state of the warmup's start.
+    each drawn as wide as the group from fresh streams moved to its first
+    round, and scanned by every point that still has a node without a
+    delivery, until none has or round 0 has been scanned.  A node with no
+    warmup delivery keeps the state of the warmup's start.
     """
-    n = config.n
-    last_wall, last_gen = np.zeros((2, n))
-    pending = np.ones(n, bool)
-    end = 0.0  # the end of the block
-    for first, rounds in _warmup_blocks(config.warmup, n):
-        delay_stream, group_stream = _streams(config, replication, first)
-        delays = config.model.sample(delay_stream, out=ws.array("delays", (rounds, n)))
-        y, delivered = run_rounds(config.policy, delays, group_stream=group_stream, workspace=ws)
-        # From the start of each round to the end of the block.
-        to_end = np.cumsum(y[::-1])[::-1]
-        row = rounds - 1 - np.argmax(delivered[::-1], axis=0)
-        nodes = np.flatnonzero(pending & delivered[row, np.arange(n)])
-        row = row[nodes]
-        last_gen[nodes] = end - to_end[row]
-        last_wall[nodes] = last_gen[nodes] + delays[row, nodes]
-        pending[nodes] = False
-        end -= to_end[0]
-        if not pending.any():
-            return last_wall, last_gen
-    last_wall[pending] = last_gen[pending] = end
-    return last_wall, last_gen
+    lead = configs[0]
+    width = max(config.n for config in configs)
+    states = [np.zeros((2, config.n)) for config in configs]
+    pending = [np.ones(config.n, bool) for config in configs]
+    ends = [0.0] * len(configs)  # the end of the next block each point scans
+    for first, rounds in _warmup_blocks(lead.warmup, width):
+        scanning = [i for i, nodes in enumerate(pending) if nodes.any()]
+        if not scanning:
+            break
+        streams = _streams(lead.seed, replication, first, width)
+        delays, ranks = _draw(lead.model, streams, rounds, width, ranked, ws)
+        for i in scanning:
+            n, (last_wall, last_gen) = configs[i].n, states[i]
+            view = delays[:, :n]
+            y, delivered = run_rounds(configs[i].policy, view, ranks, ws)
+            # From the start of each round to the end of the block.
+            to_end = np.cumsum(y[::-1])[::-1]
+            row = rounds - 1 - np.argmax(delivered[::-1], axis=0)
+            nodes = np.flatnonzero(pending[i] & delivered[row, np.arange(n)])
+            row = row[nodes]
+            last_gen[nodes] = ends[i] - to_end[row]
+            last_wall[nodes] = last_gen[nodes] + view[row, nodes]
+            pending[i][nodes] = False
+            ends[i] -= to_end[0]
+    for state, nodes, end in zip(states, pending, ends):
+        state[:, nodes] = end
+    return states
 
 
-def _simulate_single(config: SimConfig, replication: int) -> SimResult:
-    n = config.n
+def _simulate_group(configs, replication: int) -> list:
+    """One replication of every point of a group, in lockstep (see :func:`replicate`)."""
+    lead = configs[0]
+    width = max(config.n for config in configs)
+    ranked = any(isinstance(config.policy, PreSelectedK) and config.policy.regroup == "per_update"
+                 for config in configs)
     ws = _Workspace()
-    batches = max(1, min(_MAX_BATCHES, config.updates // 50))
-    run = _Run(*_warmup_state(config, replication, ws), batches)
-    delay_stream, group_stream = _streams(config, replication, config.warmup)
-    chunk_rounds = max(1, _CHUNK_ELEMENTS // n)
-    base, extra = divmod(config.updates, batches)
+    batches = max(1, min(_MAX_BATCHES, lead.updates // 50))
+    runs = [_Run(*state, batches) for state in _warmup_states(configs, replication, ranked, ws)]
+    streams = _streams(lead.seed, replication, lead.warmup, width)
+    chunk_rounds = max(1, _CHUNK_ELEMENTS // width)
+    base, extra = divmod(lead.updates, batches)
     for b in range(batches):
         # The batch's rounds, cut into chunks of at most chunk_rounds.
         rounds = base + (b < extra)
         for done in range(0, rounds, chunk_rounds):
-            delays = config.model.sample(
-                delay_stream, out=ws.array("delays", (min(chunk_rounds, rounds - done), n)))
-            y, delivered = run_rounds(config.policy, delays, group_stream=group_stream,
-                                      workspace=ws)
-            run.credit(b, y, delays, delivered, ws)
-    return run.result(config.updates)
+            size = min(chunk_rounds, rounds - done)
+            delays, ranks = _draw(lead.model, streams, size, width, ranked, ws)
+            for config, run in zip(configs, runs):
+                view = delays[:, :config.n]
+                y, delivered = run_rounds(config.policy, view, ranks, ws)
+                run.credit(b, y, view, delivered, ws)
+    return [run.result(lead.updates) for run in runs]
 
 
-def replicate(config: SimConfig) -> SimResult:
+# What the configs of a group share; they differ only in n and policy.
+_GROUP_FIELDS = ("model", "updates", "seed", "warmup", "replications")
+
+
+def replicate(
+    config: Union[SimConfig, Sequence[SimConfig]],
+) -> Union[SimResult, list[SimResult]]:
     """Aggregate ``config.replications`` independently seeded simulations.
 
     Replication r draws from its own stream pair, so results merge
     deterministically by replication index regardless of execution order.
+
+    ``config`` may also be a group: a non-empty sequence of configs that
+    differ only in ``n`` and ``policy``.  The result is then a list, one
+    result per config, in order.  A group runs in lockstep.  Each block of
+    rounds is drawn once, as wide as the group's largest n (W), and each
+    config resolves and credits the first n columns; the per-update
+    pre-selected configs read the same rank uniforms.  So a config's result
+    depends on its group only through W, and a config alone is the group
+    of one where W = n.
     """
-    results = [_simulate_single(config, rep) for rep in range(config.replications)]
+    configs = [config] if isinstance(config, SimConfig) else list(config)
+    if not configs or not all(isinstance(c, SimConfig) for c in configs):
+        raise ValueError("replicate needs a SimConfig or a non-empty sequence of SimConfigs")
+    lead = configs[0]
+    if any(getattr(c, name) != getattr(lead, name) for c in configs for name in _GROUP_FIELDS):
+        raise ValueError(f"the configs of a group must share {', '.join(_GROUP_FIELDS)}")
+    runs = [_simulate_group(configs, rep) for rep in range(lead.replications)]
+    results = [_merge(point_runs) for point_runs in zip(*runs)]
+    return results[0] if isinstance(config, SimConfig) else results
+
+
+def _merge(results) -> SimResult:
+    """One config's replications as one result."""
     if len(results) == 1:
         return results[0]
     per_node = np.mean([r.per_node_avg_age for r in results], axis=0)

@@ -27,10 +27,12 @@ def run_round(
 ) -> tuple[float, frozenset]:
     """Resolve a single update round; returns ``(y, delivered node indices)``.
 
-    A kept pre-selected group is nodes 0..k-1, as in the engine.
+    A kept pre-selected group is nodes 0..k-1, as in the engine; a
+    per-update group takes one uniform from ``group_stream``.
     """
     row = np.atleast_2d(np.asarray(delays, dtype=float))
-    y, delivered = run_rounds(policy, row, group_stream=group_stream)
+    rank_uniforms = None if group_stream is None else group_stream.generator.random(1)
+    y, delivered = run_rounds(policy, row, rank_uniforms)
     return float(y[0]), frozenset(int(i) for i in np.flatnonzero(delivered[0]))
 
 

@@ -28,7 +28,7 @@ from multicast_aoi import (
 )
 from multicast_aoi.cli import csv_text, json_text, main, table
 from multicast_aoi.delay_models import HyperExponential, ShiftedExponential
-from multicast_aoi.experiments import CSV_COLUMNS, _point_seed, simulate_point
+from multicast_aoi.experiments import CSV_COLUMNS, _group_seed, simulate_point
 from multicast_aoi.simulator import _policy_threshold
 
 
@@ -162,7 +162,8 @@ class TestRunSweep:
             ("earliest_k", 5, 3), ("wait_for_all", 5, 5), ("earliest_k", 5, 1)
         ]
         assert run_sweep(points, rounds=500, warmup=50, seed=11) == rows
-        # a point's seed depends on its position alone
+        # a row depends on the other points of its model only through their
+        # largest n, here the same
         assert run_sweep(points[:1], rounds=500, warmup=50, seed=11) == rows[:1]
 
     def test_numpy_integer_points_give_python_int_rows(self):
@@ -194,21 +195,68 @@ class TestRunSweep:
         ("fig6", lambda **run: run_fig6(n_values=(1, 4, 9), **run)),
     ], ids=["fig4", "fig5", "fig6"])
     def test_a_row_can_be_rerun_alone(self, figure, run):
-        # point i of a figure is seeded with _point_seed(seed, i) over the
-        # figure's whole point list; fig5 once seeded each rate apart
+        # the points of one model are a group seeded from the sweep's seed and
+        # the model: rerun alone, they give their rows; where they share one
+        # n (every fig4 and fig5 point is at n = 100), so does each point
         seed, rounds, warmup = 31, 2_000, 100
         rows = run(rounds=rounds, warmup=warmup, seed=seed)
         points = self.figure_points(figure)
-        index = {(model.label(), policy, n): i for i, (model, policy, n) in enumerate(points)}
         assert len(rows) == len(points)
-        for row in rows:
-            i = index[row.model, SCHEMES[row.scheme].policy(row.k), row.n]
-            _, alone = simulate_point(*points[i], rounds, warmup, _point_seed(seed, i))
-            assert repr(alone) == repr(row)
+        row_of = {(row.model, SCHEMES[row.scheme].policy(row.k), row.n): row for row in rows}
+        for model in {model: None for model, _, _ in points}:
+            group = [point for point in points if point[0] == model]
+            alone = run_sweep(group, rounds, warmup, seed)
+            for (_, policy, n), row in zip(group, alone):
+                assert repr(row) == repr(row_of[model.label(), policy, n])
+            if figure != "fig6":
+                assert {n for _, _, n in group} == {100}
+                for point, row in zip(group, alone):
+                    _, single = simulate_point(*point, rounds, warmup, _group_seed(seed, model))
+                    assert repr(single) == repr(row)
+
+    def test_other_points_of_a_model_leave_a_row_alone(self):
+        # lockstep points share their delays, their rank uniforms and one
+        # workspace: adding or removing a point no wider than its group's
+        # widest may not move another row by a bit
+        exp = ShiftedExponential(1.0, 0.5)
+        hyper = HyperExponential((1.0, 6.0), (0.4, 0.6))
+        points = [
+            # earliest-1 of 40 scans several warmup blocks; the rest stop sooner
+            (exp, EarliestK(1), 40),
+            (exp, WaitForAll(), 3),
+            (exp, PreSelectedK(2), 6),
+            (exp, PreSelectedK(3, "fixed"), 5),
+            (exp, EarliestK(2), 2),
+            (hyper, EarliestK(3), 9),
+            (hyper, PreSelectedK(2), 4),
+            (hyper, WaitForAll(), 2),
+        ]
+        extra = [(hyper, PreSelectedK(7, "fixed"), 9), (exp, PreSelectedK(30), 40),
+                 (exp, EarliestK(7), 12)]
+        run = dict(rounds=600, warmup=400, seed=17)
+        rows = [repr(row) for row in run_sweep(points, **run)]
+        assert [repr(row) for row in run_sweep(points + extra, **run)][:len(points)] == rows
+        for drop in range(len(points)):
+            if drop in (0, 5):  # the widest point of each model
+                continue
+            kept = [i for i in range(len(points)) if i != drop]
+            got = run_sweep([points[i] for i in kept], **run)
+            assert [repr(row) for row in got] == [rows[i] for i in kept], points[drop]
+        widest = run_sweep([points[5], points[0]], **run)
+        assert [repr(row) for row in widest] == [rows[5], rows[0]]
+
+    def test_seeds_are_hashed_not_offset(self):
+        # seeds once went point by point, seed + 1009(i + 1), so point 1 of a
+        # sweep seeded 5 drew what point 0 of a sweep seeded 1014 drew
+        model = ShiftedExponential(1.0, 1.0)
+        two = run_sweep([(model, EarliestK(3), 20), (model, EarliestK(5), 20)], 1000, 100, 5)
+        assert two[1] != run_sweep([(model, EarliestK(5), 20)], 1000, 100, 1014)[0]
+        assert two[1] == run_sweep([(model, EarliestK(5), 20)], 1000, 100, 5)[0]
+        assert _group_seed(5, model) != _group_seed(5, ShiftedExponential(1.0, 2.0))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
-        # point seeds wrap mod 2**64; the sweep seed itself must not
+        # group seeds are hashed from the sweep seed, which must fit 64 bits
         points = [(ShiftedExponential(1.0, 0.0), EarliestK(3), 5)]
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             run_sweep(points, rounds=500, warmup=50, seed=seed)
@@ -220,6 +268,20 @@ class TestRunSweep:
         monkeypatch.setattr("multicast_aoi.experiments.replicate", None)
         with pytest.raises(ValueError, match=f"k step must be >= 1, got {step}$"):
             run(k_step=step, rounds=500, warmup=50)
+
+
+class TestCommonRandomNumbers:
+    def test_neighbouring_thresholds_share_their_noise(self):
+        # rows k = 73 and 68 of one group, against the same rows of groups
+        # seeded apart: row 73 of seed s is paired with row 68 of seed s - 1,
+        # so each row enters one independent difference
+        model = ShiftedExponential(1.0, 1.0)
+        points = [(model, EarliestK(73), 100), (model, EarliestK(68), 100)]
+        ages = np.array([[row.sim_age for row in run_sweep(points, 5_000, 100, seed)]
+                         for seed in range(30)])
+        shared = np.var(ages[:, 0] - ages[:, 1], ddof=1)
+        independent = np.var(ages[:, 0] - np.roll(ages[:, 1], 1), ddof=1)
+        assert independent >= 5 * shared
 
 
 class TestValidationGrid:
@@ -347,7 +409,9 @@ class TestOutputFormats:
         assert path.read_text() == text
 
     def test_missing_values_are_empty_fields(self):
-        rows = run_fig4(k_step=100, rounds=500, warmup=50, seed=708)
+        # earliest-1 of 100 over 500 rounds leaves some node without an
+        # update in most seeds; 2 000 rounds give every node one
+        rows = run_fig4(k_step=100, rounds=2_000, warmup=50, seed=708)
         text = rows_to_csv_text(rows)
         parsed = list(csv.reader(io.StringIO(text)))
         header = parsed[0]

@@ -1,5 +1,6 @@
 """Monte Carlo engine: round resolution, sawtooth accounting, oracle agreement."""
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -94,13 +95,11 @@ class TestRunRound:
             run_rounds(policy, delays)
 
     def test_kept_group_is_the_first_k_nodes(self):
-        # the group stream is neither needed nor read
+        # no rank uniforms are needed
         delays = ShiftedExponential(1.0, 0.5).sample(RandomStream(6), (400, 5))
-        stream = RandomStream(7)
-        y, delivered = run_rounds(PreSelectedK(2, "fixed"), delays, group_stream=stream)
+        y, delivered = run_rounds(PreSelectedK(2, "fixed"), delays)
         np.testing.assert_array_equal(y, np.maximum(delays[:, 0], delays[:, 1]))
         np.testing.assert_array_equal(delivered, delays <= y[:, None])
-        assert stream.generator.random() == RandomStream(7).generator.random()
 
 
 class TestRunRounds:
@@ -155,7 +154,7 @@ class TestRunRounds:
 
     def test_preselected_delivers_at_least_k(self):
         delays = ShiftedExponential(1.0).sample(RandomStream(4), (500, 7))
-        y, delivered = run_rounds(PreSelectedK(3), delays, group_stream=RandomStream(5))
+        y, delivered = run_rounds(PreSelectedK(3), delays, RandomStream(5).generator.random(500))
         assert (delivered.sum(axis=1) >= 3).all()
         np.testing.assert_array_equal(delivered, delays <= y[:, None])
 
@@ -206,7 +205,8 @@ class TestSlowestRankDraw:
             exact[key] = exact.get(key, 0) + Fraction(1, len(groups))
         rounds = 200_000
         delays = np.tile(np.array(row, dtype=float), (rounds, 1))
-        y, delivered = run_rounds(PreSelectedK(k), delays, group_stream=RandomStream(61))
+        uniforms = RandomStream(61).generator.random(rounds)
+        y, delivered = run_rounds(PreSelectedK(k), delays, uniforms)
         outcomes, counts = np.unique(np.column_stack([y, delivered]), axis=0, return_counts=True)
         seen = {}
         for outcome, count in zip(outcomes, counts):
@@ -219,7 +219,8 @@ class TestSlowestRankDraw:
 
     def test_one_uniform_per_round(self):
         delays = ShiftedExponential(1.0, 0.5).sample(RandomStream(8), (300, 9))
-        y, delivered = run_rounds(PreSelectedK(4), delays, group_stream=RandomStream(9, 3))
+        uniforms = RandomStream(9, 3).generator.random(300)
+        y, delivered = run_rounds(PreSelectedK(4), delays, uniforms)
         stream = RandomStream(9, 3)
         for j in range(300):
             y_one, delivered_one = run_round(PreSelectedK(4), delays[j], group_stream=stream)
@@ -265,11 +266,12 @@ class TestAccumulateDelivery:
             accumulate_delivery(state, 3.0, 3.5)
 
 
-def reference_simulate(config):
+def reference_simulate(config, width=None):
     """Scalar re-implementation of the engine from the public primitives.
 
-    A kept pre-selected group is nodes 0..k-1 and draws nothing from the
-    group stream.  Returns the per-node averages, the delivery fractions,
+    Each round draws ``width`` delays (default n), of which the nodes read
+    the first n, and one uniform for a per-update group; a kept
+    pre-selected group is nodes 0..k-1.  Returns the per-node averages, the delivery fractions,
     the virtual time and the batch means: the measured updates fall into
     ``max(1, min(32, updates // 50))`` batches of consecutive rounds, the
     first ``updates % batches`` of them one round longer, and each delivery
@@ -280,7 +282,7 @@ def reference_simulate(config):
     delay_stream = RandomStream(config.seed, 0)
     group_stream = RandomStream(config.seed, 1)
     total = config.warmup + config.updates
-    delays = config.model.sample(delay_stream, (total, n))
+    delays = config.model.sample(delay_stream, (total, width or n))[:, :n]
     states = [NodeAgeState() for _ in range(n)]
     counts = np.zeros(n, dtype=int)
     batches = max(1, min(32, config.updates // 50))
@@ -428,6 +430,56 @@ class TestEngineMatchesScalarReference:
         assert len(chunks) == 8 and set(chunks) == paths
 
 
+class TestGroups:
+    """Configs that differ only in n and policy run in lockstep, as a group."""
+
+    BASE = dict(model=ShiftedExponential(1.3, 0.4), updates=400, warmup=100, seed=97)
+
+    def test_each_config_reads_the_first_n_columns_of_shared_draws(self):
+        # the widest config sets the draw; the pre-selected ones share the
+        # rank uniforms, and the dense path credits strided views
+        points = [(EarliestK(1), 8), (WaitForAll(), 3), (PreSelectedK(2), 5),
+                  (PreSelectedK(1, "fixed"), 4), (PreSelectedK(3), 3), (EarliestK(2), 6)]
+        configs = [SimConfig(n=n, policy=policy, **self.BASE) for policy, n in points]
+        for config, result in zip(configs, replicate(configs)):
+            per_node, fraction, virtual, batch_means = reference_simulate(config, width=8)
+            np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
+            np.testing.assert_array_equal(result.delivery_fraction, fraction)
+            assert result.virtual_time == pytest.approx(virtual, rel=1e-12)
+            assert result.std_error == pytest.approx(batch_std_error(batch_means), rel=1e-9)
+
+    def test_a_group_of_one_is_the_config_alone(self):
+        config = SimConfig(n=6, policy=PreSelectedK(2), replications=3, **self.BASE)
+        (grouped,), alone = replicate([config]), replicate(config)
+        for a, b in zip(dataclasses.astuple(grouped), dataclasses.astuple(alone)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", ShiftedExponential(1.0, 0.4)), ("updates", 500), ("warmup", 10),
+        ("seed", 98), ("replications", 2),
+    ])
+    def test_configs_of_a_group_share_all_but_n_and_policy(self, field, value):
+        config = SimConfig(n=3, policy=EarliestK(1), **self.BASE)
+        other = dataclasses.replace(config, n=4, **{field: value})
+        with pytest.raises(ValueError, match="must share model, updates, seed, warmup"):
+            replicate([config, other])
+
+    @pytest.mark.parametrize("group", [[], ["not a config"]], ids=["empty", "str"])
+    def test_a_group_is_a_non_empty_sequence_of_configs(self, group):
+        with pytest.raises(ValueError, match="non-empty sequence of SimConfigs"):
+            replicate(group)
+
+    @pytest.mark.parametrize("uniforms, message", [
+        (None, "needs rank_uniforms"),
+        (np.full(4, 0.5), r"one uniform per round \(3\), got shape \(4,\)"),
+        (np.array([0.5, 1.0, 0.5]), r"must lie in \[0, 1\)"),
+        (np.array([0.5, -0.1, 0.5]), r"must lie in \[0, 1\)"),
+    ], ids=["missing", "one_too_many", "one", "negative"])
+    def test_rank_uniforms_are_one_per_round_in_the_unit_interval(self, uniforms, message):
+        with pytest.raises(ValueError, match=message):
+            run_rounds(PreSelectedK(2), np.ones((3, 4)), uniforms)
+
+
 class TestWarmupScan:
     @pytest.mark.parametrize(
         "policy, n",
@@ -485,7 +537,7 @@ class TestWarmupScan:
     def test_hyperexponential_scan_matches_forward_pass(self, policy, n, warmup):
         model = HyperExponential((1.0, 6.0), (0.4, 0.6))
         config = SimConfig(n=n, policy=policy, model=model, updates=100, warmup=warmup, seed=11)
-        last_wall, last_gen = simulator._warmup_state(config, 1, _Workspace())
+        last_wall, last_gen = simulator._warmup_states([config], 1, True, _Workspace())[0]
         # The same blocks drawn oldest first from one stream pair, each node's
         # state moved round by round, with times from the warmup's start.
         delay_stream, group_stream = RandomStream(11, 2), RandomStream(11, 3)
@@ -493,7 +545,7 @@ class TestWarmupScan:
         t = 0.0
         for _, rounds in reversed(list(simulator._warmup_blocks(warmup, n))):
             delays = model.sample(delay_stream, (rounds, n))
-            y, delivered = run_rounds(policy, delays, group_stream=group_stream)
+            y, delivered = run_rounds(policy, delays, group_stream.generator.random(rounds))
             for j in range(rounds):
                 gen[delivered[j]] = t
                 wall[delivered[j]] = t + delays[j, delivered[j]]
@@ -581,7 +633,7 @@ class TestAccumulationPaths:
         # fourth: crediting the chunk whole equals crediting it slice by slice
         n, rounds, t0 = 100, 1000, 40.0
         delays = ShiftedExponential(1.0, 1.0).sample(RandomStream(17), (rounds, n))
-        y, delivered = run_rounds(policy, delays, group_stream=RandomStream(18))
+        y, delivered = run_rounds(policy, delays, RandomStream(18).generator.random(rounds))
         if fresh:
             last_wall, last_gen = np.zeros((2, n))
         else:
@@ -652,7 +704,8 @@ def drive_engine(policy, model, n, chunk_rounds, seed, reuse):
                 delays = model.sample(delay_stream, (rounds, n))
             delays_before = delays.copy()
             y, delivered = run_rounds(
-                policy, delays, group_stream=group_stream, workspace=workspace if reuse else None
+                policy, delays, group_stream.generator.random(rounds),
+                workspace=workspace if reuse else None,
             )
             np.testing.assert_array_equal(delays, delays_before)
             record = [y.copy(), delivered.copy()]
@@ -718,9 +771,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(2), PreSelectedK(2)])
     def test_second_call_leaves_first_results_alone(self, policy):
         first_delays = ShiftedExponential(1.0, 0.0).sample(RandomStream(2), (50, 5))
-        y, delivered = run_rounds(policy, first_delays, group_stream=RandomStream(3))
+        y, delivered = run_rounds(policy, first_delays, RandomStream(3).generator.random(50))
         y_copy, delivered_copy = y.copy(), delivered.copy()
-        run_rounds(policy, first_delays[::-1].copy(), group_stream=RandomStream(4))
+        run_rounds(policy, first_delays[::-1].copy(), RandomStream(4).generator.random(50))
         assert_same_bits(y, y_copy)
         assert_same_bits(delivered, delivered_copy)
 
