@@ -56,4 +56,4 @@ from .simulator import (
     run_rounds,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -13,6 +13,7 @@ delay per update.  Two delay families are supported:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -93,11 +94,25 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _check_rate_shift(rate: float, shift: float) -> None:
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
-    if not (math.isfinite(shift) and shift >= 0):
-        raise ValueError(f"shift must be finite and >= 0, got {shift}")
+def _check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, > 0 if ``positive`` else >= 0: the one rule for parameters.
+
+    Python and numpy reals pass and -0.0 reads as 0.0, so equal models have one ``repr``.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value) + 0.0  # -0.0 + 0.0 is 0.0
+    except OverflowError:  # an int or fraction beyond the doubles
+        value = math.inf
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return value
+
+
+def _check_rate_shift(rate, shift) -> None:
+    _check_real("rate", rate, positive=True)
+    _check_real("shift", shift)
 
 
 @dataclass(frozen=True)
@@ -111,7 +126,8 @@ class ShiftedExponential:
     shift: float = 0.0
 
     def __post_init__(self):
-        _check_rate_shift(self.rate, self.shift)
+        object.__setattr__(self, "rate", _check_real("rate", self.rate, positive=True))
+        object.__setattr__(self, "shift", _check_real("shift", self.shift))
 
     def mean(self) -> float:
         return self.shift + 1.0 / self.rate
@@ -145,16 +161,12 @@ class HyperExponential:
     weights: tuple
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        weights = tuple(float(w) for w in self.weights)
+        rates = tuple(_check_real(f"rates[{i}]", r, True) for i, r in enumerate(self.rates))
+        weights = tuple(_check_real(f"weights[{i}]", w) for i, w in enumerate(self.weights))
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "weights", weights)
         if len(rates) != len(weights) or len(rates) < 1:
             raise ValueError("rates and weights must have equal length >= 1")
-        if any(not (math.isfinite(r) and r > 0) for r in rates):
-            raise ValueError(f"all rates must be finite and > 0, got {rates}")
-        if any(not (math.isfinite(w) and w >= 0) for w in weights):
-            raise ValueError(f"all weights must be finite and >= 0, got {weights}")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {weights}")
         # Component c owns the uniforms in [low_c, high_c).  The last one of
@@ -207,6 +219,12 @@ class HyperExponential:
 
 
 DelayModel = Union[ShiftedExponential, HyperExponential]
+
+
+def _check_model(model) -> DelayModel:
+    if not isinstance(model, DelayModel):
+        raise ValueError(f"model must be a ShiftedExponential or HyperExponential, got {model!r}")
+    return model
 
 
 # Tail sums over the k largest indices, n-k < j <= n, come from one kernel:

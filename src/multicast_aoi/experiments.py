@@ -4,10 +4,10 @@
 and the ages a simulation of it is compared with.  A point is ``(model,
 policy, n)``; :func:`simulate_point` turns it into a result and a table row.
 A sweep is a list of points, one comprehension per figure and for the grid.
-:func:`run_sweep` runs the points of each link model as one group, on one
-draw of delays (common random numbers), seeded from the sweep's seed and
-the model alone, so tables are byte-stable and any model's points can be
-rerun alone; where they share one n, as in fig4 and fig5, so can any row.
+:func:`run_sweep` seeds the points of each link model from the sweep's
+seed and the model alone, so they share one draw of delays (common random
+numbers), tables are byte-stable and any model's points can be rerun
+alone; where they share one n, as in fig4 and fig5, so can any row.
 The figures sort their rows by (scheme, model, n, k); the grid keeps its
 points' order.
 """
@@ -36,6 +36,7 @@ from .delay_models import (
     HyperExponential,
     ShiftedExponential,
     _check_count,
+    _check_model,
     _check_seed,
 )
 from .simulator import (
@@ -201,31 +202,24 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Simulate each ``(model, policy, n)`` point into a row, in the points' order.
 
-    The points of one link model (one ``repr``) form a group, seeded with
-    ``_group_seed(seed, model)`` and run in lockstep on shared delays (see
+    Each point is seeded with ``_group_seed(seed, model)``, so the points of
+    one link model share their draws and run in lockstep (see
     :func:`~multicast_aoi.simulator.replicate`): each row keeps its own
     law, and rows of one model are common-random-number estimates.  A row
-    depends on the other points only through its group's largest n.
+    depends on the other points only through its model's largest n.
     """
     _check_count("rounds", rounds, 100)
     if not points:
         raise ValueError("a sweep needs at least one point")
     _check_seed(seed)
-    groups: dict = {}
-    for index, (model, policy, n) in enumerate(points):
-        groups.setdefault(repr(model), []).append(index)
-    rows: list = [None] * len(points)
-    for indices in groups.values():
-        model = points[indices[0]][0]
-        group_seed = _group_seed(seed, model)
-        configs = [
-            SimConfig(n=points[i][2], policy=points[i][1], model=model, updates=rounds,
-                      seed=group_seed, warmup=warmup, replications=replications)
-            for i in indices
-        ]
-        for i, config, result in zip(indices, configs, replicate(configs)):
-            rows[i] = _row(config, result)
-    return rows
+    seeds: dict = {}
+    configs = []
+    for model, policy, n in points:
+        if _check_model(model) not in seeds:
+            seeds[model] = _group_seed(seed, model)
+        configs.append(SimConfig(n=n, policy=policy, model=model, updates=rounds,
+                                 seed=seeds[model], warmup=warmup, replications=replications))
+    return [_row(c, r) for c, r in zip(configs, replicate(configs))]
 
 
 def _sorted(rows: list[SweepRow]) -> list[SweepRow]:

@@ -46,10 +46,10 @@ hand back per-node increments, which one method applies.  Since each delay
 takes one uniform, in element order, the draws are the same whatever the
 layouts; only the rounding of round start times depends on the chunks.
 
-A sweep's runs on one link model form a group (see :func:`replicate`) that
-moves in lockstep, each run reading the first n columns of blocks drawn
-once, as wide as the group's largest n: drawing is the only stage that
-does not depend on the run.  A run alone is the group of one.
+Runs that agree on every input of their draws form a group (see
+:func:`replicate`) that moves in lockstep, each run reading the first n
+columns of blocks drawn once, as wide as the group's largest n: drawing is
+the only stage that does not depend on the run.  A run alone is a group of one.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .delay_models import (
     _check_count,
     _check_integer,
     _check_kn,
+    _check_model,
     _check_seed,
 )
 
@@ -292,7 +293,7 @@ class SimConfig:
     if an update generated at the warmup's start had reached it at once.
     The warmup is drawn from its end only as far as that state needs, so a
     long warmup usually costs no more than a short one.  Counts and the
-    seed must be integers.
+    seed must be integers, and ``model`` a link model.
     """
 
     n: int
@@ -307,6 +308,7 @@ class SimConfig:
         for name in ("n", "updates", "seed", "warmup", "replications"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         _policy_threshold(self.policy, self.n)
+        _check_model(self.model)
         if self.updates < 100:
             raise ValueError(
                 f"at least 100 measured updates are needed to report statistics, "
@@ -626,7 +628,7 @@ def _simulate_group(configs, replication: int) -> list:
     return [run.result(lead.updates) for run in runs]
 
 
-# What the configs of a group share; they differ only in n and policy.
+# The inputs of a run's draws; configs that agree on them form a group.
 _GROUP_FIELDS = ("model", "updates", "seed", "warmup", "replications")
 
 
@@ -638,23 +640,27 @@ def replicate(
     Replication r draws from its own stream pair, so results merge
     deterministically by replication index regardless of execution order.
 
-    ``config`` may also be a group: a non-empty sequence of configs that
-    differ only in ``n`` and ``policy``.  The result is then a list, one
-    result per config, in order.  A group runs in lockstep.  Each block of
-    rounds is drawn once, as wide as the group's largest n (W), and each
-    config resolves and credits the first n columns; the per-update
-    pre-selected configs read the same rank uniforms.  So a config's result
-    depends on its group only through W, and a config alone is the group
-    of one where W = n.
+    ``config`` may also be a non-empty sequence of configs; the result is
+    then a list, one result per config, in order.  Configs that agree on
+    every input of their draws (``_GROUP_FIELDS``) form a group, which runs
+    in lockstep: each block of rounds is drawn once, as wide as the group's
+    largest n (W), each config resolves and credits the first n columns,
+    and the per-update pre-selected configs read the same rank uniforms.
+    Any other config runs apart.  So a config's result depends on the
+    others only through W, and a config alone is the group of one (W = n).
     """
     configs = [config] if isinstance(config, SimConfig) else list(config)
     if not configs or not all(isinstance(c, SimConfig) for c in configs):
         raise ValueError("replicate needs a SimConfig or a non-empty sequence of SimConfigs")
-    lead = configs[0]
-    if any(getattr(c, name) != getattr(lead, name) for c in configs for name in _GROUP_FIELDS):
-        raise ValueError(f"the configs of a group must share {', '.join(_GROUP_FIELDS)}")
-    runs = [_simulate_group(configs, rep) for rep in range(lead.replications)]
-    results = [_merge(point_runs) for point_runs in zip(*runs)]
+    groups: dict = {}
+    for index, c in enumerate(configs):
+        groups.setdefault(tuple(getattr(c, name) for name in _GROUP_FIELDS), []).append(index)
+    results: list = [None] * len(configs)
+    for indices in groups.values():
+        group = [configs[i] for i in indices]
+        runs = [_simulate_group(group, rep) for rep in range(group[0].replications)]
+        for i, point_runs in zip(indices, zip(*runs)):
+            results[i] = _merge(point_runs)
     return results[0] if isinstance(config, SimConfig) else results
 
 

@@ -406,11 +406,45 @@ class TestPartialOrderMeanSum:
 @pytest.mark.parametrize(
     "rate, shift",
     [(math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (-1.0, 0.0),
-     (1.0, math.nan), (1.0, math.inf), (1.0, -0.5)],
+     (1.0, math.nan), (1.0, math.inf), (1.0, -0.5), ("1", 0.0), (1.0, None),
+     pytest.param(10**400, 0.0, id="int-beyond-doubles")],
 )
 def test_one_rate_shift_rule(check, rate, shift):
     with pytest.raises(ValueError, match="rate|shift"):
         check(rate, shift, 1, 2)
+
+
+class TestModelParameters:
+    """A model's parameters are read as Python floats, whatever their spelling."""
+
+    @pytest.mark.parametrize("rate, shift", [
+        (2, 1), (np.float64(2.0), np.float32(1.0)), (np.int64(2), True), (2.0, 1.0),
+    ])
+    def test_real_numbers_are_stored_as_floats(self, rate, shift):
+        model = ShiftedExponential(rate, shift)
+        assert (type(model.rate), type(model.shift)) == (float, float)
+        assert repr(model) == "ShiftedExponential(rate=2.0, shift=1.0)"
+        hyper = HyperExponential((rate, 6), (np.float64(0.4), 0.6))
+        assert repr(hyper) == repr(HyperExponential((2.0, 6.0), (0.4, 0.6)))
+
+    def test_negative_zero_is_zero(self):
+        model = ShiftedExponential(1.0, -0.0)
+        assert math.copysign(1.0, model.shift) == 1.0
+        assert model.label() == "shifted_exp(rate=1,shift=0)"
+        weights = HyperExponential((1.0, 2.0), (1.0, -0.0)).weights
+        assert math.copysign(1.0, weights[1]) == 1.0
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ShiftedExponential("1", 0), "^rate must be a real number, got '1'"),
+        (lambda: ShiftedExponential(1, "0"), "^shift must be a real number, got '0'"),
+        (lambda: ShiftedExponential(1, 1j), "^shift must be a real number"),
+        (lambda: HyperExponential(("1", "6"), ("0.4", "0.6")), r"^rates\[0\] must be a real"),
+        (lambda: HyperExponential((1, 6), (0.4, None)), r"^weights\[1\] must be a real"),
+    ], ids=["rate_string", "shift_string", "complex", "hyper_strings", "hyper_none"])
+    def test_a_non_real_is_a_value_error_naming_the_parameter(self, build, message):
+        # strings once raised a bare TypeError, or were parsed by float()
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestMcOracle:

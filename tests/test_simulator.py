@@ -159,6 +159,14 @@ class TestRunRounds:
         np.testing.assert_array_equal(delivered, delays <= y[:, None])
 
 
+@pytest.mark.parametrize("model", ["shifted_exp", None, ShiftedExponential],
+                         ids=["string", "none", "class"])
+def test_a_non_model_is_a_value_error_naming_model(model):
+    # each was once accepted and failed at the first draw
+    with pytest.raises(ValueError, match="^model must be"):
+        SimConfig(n=5, policy=EarliestK(2), model=model, updates=200, seed=1)
+
+
 @pytest.mark.parametrize("policy", ["earliest_k", EarliestK, None],
                          ids=["string", "class", "none"])
 class TestNonPolicyRejected:
@@ -430,8 +438,16 @@ class TestEngineMatchesScalarReference:
         assert len(chunks) == 8 and set(chunks) == paths
 
 
+def assert_same_results(got, expected):
+    """Every field of two lists of results, bit for bit."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+            assert_same_bits(np.asarray(x), np.asarray(y))
+
+
 class TestGroups:
-    """Configs that differ only in n and policy run in lockstep, as a group."""
+    """Configs that share every input of their draws run in lockstep, as a group."""
 
     BASE = dict(model=ShiftedExponential(1.3, 0.4), updates=400, warmup=100, seed=97)
 
@@ -450,19 +466,46 @@ class TestGroups:
 
     def test_a_group_of_one_is_the_config_alone(self):
         config = SimConfig(n=6, policy=PreSelectedK(2), replications=3, **self.BASE)
-        (grouped,), alone = replicate([config]), replicate(config)
-        for a, b in zip(dataclasses.astuple(grouped), dataclasses.astuple(alone)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert_same_results(replicate([config]), [replicate(config)])
 
     @pytest.mark.parametrize("field, value", [
         ("model", ShiftedExponential(1.0, 0.4)), ("updates", 500), ("warmup", 10),
         ("seed", 98), ("replications", 2),
     ])
-    def test_configs_of_a_group_share_all_but_n_and_policy(self, field, value):
+    def test_a_config_that_differs_in_a_shared_field_runs_apart(self, field, value):
+        # in one group the n = 3 config would read 3 of 4 columns
         config = SimConfig(n=3, policy=EarliestK(1), **self.BASE)
         other = dataclasses.replace(config, n=4, **{field: value})
-        with pytest.raises(ValueError, match="must share model, updates, seed, warmup"):
-            replicate([config, other])
+        assert_same_results(replicate([config, other]), [replicate(config), replicate(other)])
+
+    def test_mixed_models_and_seeds_give_the_per_group_results_in_order(self):
+        hyper = HyperExponential((1.0, 6.0), (0.4, 0.6))
+        configs = [
+            SimConfig(n=n, policy=policy, **{**self.BASE, "model": model, "seed": seed})
+            for n, policy, model, seed in [
+                (5, EarliestK(2), hyper, 97), (3, PreSelectedK(2), self.BASE["model"], 97),
+                (4, WaitForAll(), hyper, 98), (6, PreSelectedK(3), hyper, 97),
+                (2, EarliestK(1), self.BASE["model"], 98), (4, EarliestK(4), hyper, 98),
+            ]
+        ]
+        expected: list = [None] * len(configs)
+        for key in {(c.model, c.seed) for c in configs}:
+            indices = [i for i, c in enumerate(configs) if (c.model, c.seed) == key]
+            for i, result in zip(indices, replicate([configs[i] for i in indices])):
+                expected[i] = result
+        assert_same_results(replicate(configs), expected)
+
+    def test_a_config_twice_gives_its_result_twice(self):
+        config = SimConfig(n=5, policy=PreSelectedK(2), **self.BASE)
+        alone = replicate(config)
+        assert_same_results(replicate([config, config]), [alone, alone])
+
+    def test_a_config_of_another_model_leaves_the_others_alone(self):
+        configs = [SimConfig(n=n, policy=EarliestK(2), **self.BASE) for n in (3, 7, 5)]
+        other = dataclasses.replace(configs[0], n=9, model=ShiftedExponential(2.0, 0.0))
+        results = replicate(configs)
+        assert_same_results(replicate(configs + [other])[:3], results)
+        assert_same_results(replicate([other] + configs)[1:], results)
 
     @pytest.mark.parametrize("group", [[], ["not a config"]], ids=["empty", "str"])
     def test_a_group_is_a_non_empty_sequence_of_configs(self, group):
