@@ -56,4 +56,4 @@ from .simulator import (
     run_rounds,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.14.1"

@@ -155,7 +155,7 @@ def age_wait_for_all(rate: float, shift: float, n: int) -> AgeResult:
     Evaluates ``3c/2 + 1/rate + H_n/(2 rate) + H2_n/(2 rate^2 c + 2 rate H_n)``
     with true harmonic sums (c is the shift).
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     n = _check_count("n", n)
     hn = harmonic(n)
     h2n = harmonic2(n)
@@ -180,7 +180,7 @@ def age_earliest_k(rate: float, shift: float, n: int, k: int) -> AgeResult:
     inter-delivery interval term ``(2n-k)/(2k) * E[X_{k:n}]``, and the
     variance ratio ``Var[X_{k:n}] / (2 E[X_{k:n}])``.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     k, n = _check_kn(k, n)
     delta1, interval, variance_ratio = _earliest_k_terms(
         rate, shift, n, k, *_tail_sums(n, k)
@@ -203,7 +203,7 @@ def age_earliest_k_approx(rate: float, shift: float, alpha: float) -> AgeResult:
     ``1/rate - log(1 - alpha)/(2 rate) + shift/alpha + shift/2``.  Tight
     only for alpha < 1; the logarithm diverges as alpha -> 1.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     return _result(
@@ -234,7 +234,7 @@ def age_preselected_k(rate: float, shift: float, n: int, k: int) -> AgeResult:
     ``(2n - k + nk) / (2(k + nk))``, which comes from the per-node delivery
     probability ``k/n + ((n-k)/n) * k/(k+1)``.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     k, n = _check_kn(k, n)
     mean_delay = shift + 1.0 / rate
     bystander_sum = partial_order_mean_sum(rate, shift, k, k + 1)
@@ -272,7 +272,7 @@ def age_preselected_k_process(rate: float, shift: float, n: int, k: int) -> AgeR
     what simulation converges to; it coincides with
     :func:`age_preselected_k` at k = n and exceeds it nowhere.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     k, n = _check_kn(k, n)
     p = k / n
     a = k / (k + 1.0)
@@ -339,7 +339,7 @@ def age_preselected_k_approx(rate: float, shift: float, n: int, k: int) -> AgeRe
     ``2 (shift + 1/rate)``.  Loose for small n; quantify against
     :func:`age_preselected_k`.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     k, n = _check_kn(k, n)
     delta1 = (
         shift
@@ -366,7 +366,7 @@ def optimal_alpha(rate: float, shift: float) -> float:
     ``x^2`` could overflow, as ``2 / (sqrt(1 + 2/x) + 1)`` for x >= 1.  The
     ratio tends to 1 as x grows and rounds to 1.0 for x above about 1e16.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     x = rate * shift
     if x == 0.0:
         return 0.0
@@ -409,7 +409,7 @@ def optimal_k_exact(rate: float, shift: float, n: int) -> tuple[int, AgeResult]:
     is evaluated for a whole block at once.  The returned breakdown comes
     from :func:`age_earliest_k` at the minimizer.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     n = _check_count("n", n)
     best_k, best_age = 1, math.inf
     t1 = e1 = t2 = e2 = 0.0

@@ -110,9 +110,9 @@ def _check_real(name: str, value, positive: bool = False) -> float:
     return value
 
 
-def _check_rate_shift(rate, shift) -> None:
-    _check_real("rate", rate, positive=True)
-    _check_real("shift", shift)
+def _check_rate_shift(rate, shift) -> tuple[float, float]:
+    """``rate`` and ``shift`` as checked Python floats, the values every formula computes with."""
+    return _check_real("rate", rate, positive=True), _check_real("shift", shift)
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ def order_stat_moments(rate: float, shift: float, k: int, n: int) -> OrderStatMo
     * variance = T2 / rate^2
     * second moment = mean^2 + variance
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     k, n = _check_kn(k, n)
     t1, t2, _ = _tail_sums(n, k)
     mean = shift + t1 / rate
@@ -371,6 +371,6 @@ def partial_order_mean_sum(rate: float, shift: float, k: int, n: int) -> float:
     ``k - (n-k) T1 = sum_{j=n-k+1..n} (j - n + k)/j`` is taken without
     cancellation.
     """
-    _check_rate_shift(rate, shift)
+    rate, shift = _check_rate_shift(rate, shift)
     k, n = _check_kn(k, n)
     return k * shift + _tail_sums(n, k)[2] / rate

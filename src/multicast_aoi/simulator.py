@@ -27,7 +27,12 @@ consecutive deliveries of a node.  Both paths give the same increments, up
 to the rounding of the area (see :meth:`_Run.credit`).  Each run keeps one
 workspace of flat buffers that every block reuses: the delays are drawn
 into it, and resolution and accumulation work in it in place, so that a
-block costs no fresh pages.
+block costs no fresh pages.  Each buffer also keeps the last view it
+handed out, and hands it out again while the shape repeats.  Blocks are
+small at small n, so numpy's per-call costs weigh as much as the
+arithmetic: the hot path calls ndarray methods rather than numpy's Python
+wrappers, and updates the state in place, not through index arrays, when
+every node has a delivery.
 
 The warmup's sawtooth is not accounted: all it hands the measured rounds
 is each node's last warmup delivery, the generation and arrival times of
@@ -150,11 +155,13 @@ class PreSelectedK:
 
 
 StoppingPolicy = Union[WaitForAll, EarliestK, PreSelectedK]
+# isinstance against a tuple is several times faster than against the Union.
+_POLICIES = (WaitForAll, EarliestK, PreSelectedK)
 
 
 def _policy_threshold(policy: StoppingPolicy, n: int) -> int:
     """Acknowledgement count the policy waits for; validates the policy and 1 <= k <= n."""
-    if not isinstance(policy, StoppingPolicy):
+    if not isinstance(policy, _POLICIES):
         raise ValueError(
             f"policy must be a WaitForAll, EarliestK or PreSelectedK instance, got {policy!r}"
         )
@@ -169,18 +176,26 @@ class _Workspace:
     more; its contents are whatever the last user left.  Reuse saves the
     page faults of fresh allocations: every large array of the engine lives
     here, and what a view holds is safe only until its name is asked for
-    again.
+    again.  Each name keeps the last view it handed out, and hands that
+    same view out again while the shape repeats, as it does from chunk to
+    chunk; another shape replaces it by a view of the (possibly grown)
+    buffer, so a name never holds more than one view.
     """
 
     def __init__(self):
         self._buffers: dict = {}
+        self._views: dict = {}
 
-    def array(self, name: str, shape, dtype=float) -> np.ndarray:
+    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        view = self._views.get(name)
+        if view is not None and view.shape == shape:
+            return view
         size = math.prod(shape)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
+        view = self._views[name] = buffer[:size].reshape(shape)
+        return view
 
 
 def _slowest_rank_cdf(n: int, k: int) -> np.ndarray:
@@ -255,19 +270,19 @@ def run_rounds(
             # Column R - 1 of each sorted row, as a flat index.
             pick = np.searchsorted(_slowest_rank_cdf(n, k), rank_uniforms, side="right")
             pick += np.arange(k - 1, rounds * n, n)
-            y = np.take(ordered, pick)
+            y = ordered.take(pick)
     np.less_equal(delays, y[:, None], out=delivered)
     if isinstance(policy, EarliestK):
         # A row holds more than k delays <= y only when several tie at y, that
         # is when its sorted copy holds y again at index k: there every delay
         # below y is delivered and the remaining places go to the tied nodes,
         # lowest index first.
-        tied = np.flatnonzero(ordered[:, k] == y)
+        tied = (ordered[:, k] == y).nonzero()[0]
         if tied.size:
             rows, y_tied = delays[tied], y[tied, None]
             at_y = rows == y_tied
             room = k - np.count_nonzero(rows < y_tied, axis=1)
-            delivered[tied] &= ~at_y | (np.cumsum(at_y, axis=1) <= room[:, None])
+            delivered[tied] &= ~at_y | (at_y.cumsum(axis=1) <= room[:, None])
     return y, delivered
 
 
@@ -360,9 +375,12 @@ class _Run:
         the last deliveries are the same floats.  One call in place of several
         moves the area, and the spans' sums of differences, by rounding alone.
         """
-        cs = np.cumsum(y)
         # Start of each round, then the end of the chunk.
-        t_edges = self.t + np.concatenate(([0.0], cs))
+        t_edges = ws.array("t_edges", (len(y) + 1,))
+        t_edges[0] = 0.0
+        y.cumsum(out=t_edges[1:])
+        duration = float(t_edges[-1])
+        t_edges += self.t
         misses = delivered.size - np.count_nonzero(delivered)
         if misses <= _DENSE_MISS_SHARE * delivered.size:
             self._add(b, *_credit_rounds(t_edges, y, delays, delivered if misses else None,
@@ -373,8 +391,8 @@ class _Run:
                 rows = slice(i, min(i + step, len(y)))
                 self._add(b, *_credit_deliveries(t_edges[rows], delays[rows], delivered[rows],
                                                  self.last_wall, self.last_gen, ws))
-        self.batch_time[b] += float(cs[-1])
-        self.t += float(cs[-1])
+        self.batch_time[b] += duration
+        self.t += duration
 
     def _add(self, b, hit, added_area, wall, gen, count):
         """Apply one path's increments (see :func:`_credit_rounds`) in batch ``b``."""
@@ -449,10 +467,11 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, ws):
         hit = slice(None)
         gen, delay = t_edges[-2], delays[-1]
     else:
-        miss = np.flatnonzero(np.logical_not(delivered, out=ws.array("miss", (rounds, n), bool)))
+        missed = np.logical_not(delivered, out=ws.array("miss", (rounds, n), bool))
+        miss = missed.reshape(-1).nonzero()[0]
         j, i = np.divmod(miss, n)
         # The misses node by node, each node's in round order.
-        order = np.argsort(i * rounds + j)
+        order = (i * rounds + j).argsort()
         miss, j, i = miss[order], j[order], i[order]
         count = rounds - np.bincount(i, minlength=n)
         # The first round of the run of consecutive misses that holds each miss.
@@ -463,7 +482,7 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, ws):
         # still holds; a miss in the last round carries it on through
         # last_gen, so its round m+1 term is 0.
         opening_age = first_age[i]
-        elapsed = np.concatenate(([0.0], np.cumsum(y)))
+        elapsed = np.concatenate(([0.0], y.cumsum()))
         age = elapsed[j] - np.where(run > 0, elapsed[run - 1], -opening_age)
         assumed = np.where(j > 0, y[j - 1], opening_age)
         # Indexed by (round, node): a flat take would copy a column view whole.
@@ -474,7 +493,7 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, ws):
         row = np.full(n, rounds - 1)
         at_end = j == rounds - 1
         row[i[at_end]] = run[at_end] - 1
-        hit = np.flatnonzero(row >= 0)
+        hit = (row >= 0).nonzero()[0]
         gen, delay = t_edges[row[hit]], delays[row[hit], hit]
     wall = gen + delay
     head = t_start - last_wall[hit]
@@ -495,32 +514,37 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, ws):
     delivery's predecessor is the previous element; only the first delivery
     of each node takes its predecessor from ``last_wall``/``last_gen``.  The
     slice-sized arrays are buffers of ``ws``; only the index of the
-    deliveries is allocated anew (``np.flatnonzero`` takes no ``out``).
+    deliveries is allocated anew (``nonzero`` takes no ``out``).  When every
+    node has a delivery, as is usual, ``hit`` is ``slice(None)``, so that the
+    nodes' state is read and updated in place rather than gathered.
     Returns what :func:`_credit_rounds` does, for rounds starting at ``t_prev``.
     """
     rounds, n = delays.shape
     node_major = ws.array("node_major", (n, rounds))
-    np.copyto(node_major, delays.T)
+    node_major[...] = delays.T
     mask = ws.array("node_mask", (n, rounds), bool)
-    np.copyto(mask, delivered.T)
-    delivery = np.flatnonzero(mask)
+    mask[...] = delivered.T
+    delivery = mask.reshape(-1).nonzero()[0]
     # Where each node's deliveries start in the delivery index.
-    bounds = np.searchsorted(delivery, np.arange(0, n * rounds + 1, rounds))
-    per_node = np.diff(bounds)
-    hit = np.flatnonzero(per_node)
-    first, last = bounds[hit], bounds[hit + 1] - 1
-    delay = np.take(node_major, delivery, out=ws.array("delay", delivery.shape), mode="clip")
+    bounds = delivery.searchsorted(np.arange(0, n * rounds + 1, rounds))
+    first, end = bounds[:-1], bounds[1:]
+    per_node = end - first
+    last = end - 1
+    if np.count_nonzero(per_node) == n:
+        hit = slice(None)
+    else:
+        hit = per_node.nonzero()[0]
+        first, last = first[hit], last[hit]
+    delay, wall, g, term = ws.array("deliveries", (4, delivery.size))
+    node_major.take(delivery, out=delay, mode="clip")
     node_major[...] = t_prev
-    wall = np.take(node_major, delivery, out=ws.array("wall", delivery.shape), mode="clip")
+    node_major.take(delivery, out=wall, mode="clip")
     gen = wall[last]
     np.add(wall, delay, out=wall)
-    total = wall.size
     # g is the gap since each delivery's predecessor; the age right after
     # the predecessor is the predecessor's own delay.
-    g = ws.array("gap", (total,))
     np.subtract(wall[1:], wall[:-1], out=g[1:])
     g[first] = wall[first] - last_wall[hit]
-    term = ws.array("term", (total,))
     term[1:] = delay[:-1]
     term[first] = last_wall[hit] - last_gen[hit]
     # a0*g + 0.5*g*g, formed in place; delay is no longer needed.
@@ -590,9 +614,9 @@ def _warmup_states(configs, replication: int, ranked: bool, ws: _Workspace) -> l
             view = delays[:, :n]
             y, delivered = run_rounds(configs[i].policy, view, ranks, ws)
             # From the start of each round to the end of the block.
-            to_end = np.cumsum(y[::-1])[::-1]
-            row = rounds - 1 - np.argmax(delivered[::-1], axis=0)
-            nodes = np.flatnonzero(pending[i] & delivered[row, np.arange(n)])
+            to_end = y[::-1].cumsum()[::-1]
+            row = rounds - 1 - delivered[::-1].argmax(axis=0)
+            nodes = (pending[i] & delivered[row, np.arange(n)]).nonzero()[0]
             row = row[nodes]
             last_gen[nodes] = ends[i] - to_end[row]
             last_wall[nodes] = last_gen[nodes] + view[row, nodes]

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -429,6 +430,40 @@ class TestStructuralProperties:
             assert result.total > 0
             if shift > 0:
                 assert result.total >= shift
+
+
+def every_formula(rate, shift):
+    """Each analytics entry point, and the order statistics, at one (rate, shift)."""
+    return [
+        age_wait_for_all(rate, shift, 50),
+        age_earliest_k(rate, shift, 50, 30),
+        age_earliest_k_approx(rate, shift, 0.6),
+        age_preselected_k(rate, shift, 50, 30),
+        age_preselected_k_process(rate, shift, 50, 30),
+        age_preselected_k_approx(rate, shift, 50, 30),
+        optimal_k_exact(rate, shift, 50),
+        optimal_alpha(rate, shift),
+        order_stat_moments(rate, shift, 30, 50),
+    ]
+
+
+class TestParameterSpellings:
+    """A numpy or int rate and shift compute as the Python floats they equal."""
+
+    @pytest.mark.parametrize("rate, shift", [
+        (np.float32(0.3), 0.7), (0.3, np.float32(0.7)), (np.float64(1.0), np.float64(1.0)),
+        (np.int64(2), 1), (2, np.int32(1)), (True, np.float16(0.5)),
+    ])
+    def test_same_bits_as_python_floats(self, rate, shift):
+        # under NEP 50 a float32 rate would compute in float32 (4.7e-8 off at
+        # earliest-k 30 of 50); a repr tells np.float64 from float, and shows
+        # every bit of a float
+        assert repr(every_formula(rate, shift)) == repr(every_formula(float(rate), float(shift)))
+
+    def test_results_hold_python_floats(self):
+        _, best = optimal_k_exact(np.float64(1.0), 1.0, 5)
+        assert (type(best.params["lambda"]), type(best.params["shift"])) == (float, float)
+        assert {type(term) for term in best.breakdown.values()} == {float}
 
 
 class TestAgeResultValidation:

@@ -1,10 +1,12 @@
 """Monte Carlo engine: round resolution, sawtooth accounting, oracle agreement."""
 
 import dataclasses
+import gc
 import inspect
 import itertools
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -507,6 +509,31 @@ class TestGroups:
         assert_same_results(replicate(configs + [other])[:3], results)
         assert_same_results(replicate([other] + configs)[1:], results)
 
+    @pytest.mark.parametrize("points, warmup, replications, calls", [
+        # width 5, so chunks of 32 rounds: 8 batches of 50 rounds make 16
+        # chunks; the warmup's first block of 32 rounds delivers to every node
+        ([(WaitForAll(), 3), (EarliestK(3), 5)], 100, 2, 2 * (2 * 16 + 2)),
+        # chunks of 3 rounds: 8 x 17 chunks; 40 warmup rounds cannot reach
+        # 50 nodes one at a time, so all 14 blocks of at most 3 rounds are scanned
+        ([(EarliestK(1), 50)], 40, 1, 8 * 17 + 14),
+        ([(PreSelectedK(2), 4)], 0, 1, 8 * 2),
+    ], ids=["group", "every_warmup_block", "no_warmup"])
+    def test_each_chunk_and_warmup_block_resolves_through_run_rounds(
+        self, monkeypatch, points, warmup, replications, calls
+    ):
+        # the benchmark counts resolves by wrapping this module attribute
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return run_rounds(*args)
+
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 160)
+        monkeypatch.setattr(simulator, "run_rounds", counting)
+        base = {**self.BASE, "warmup": warmup, "replications": replications}
+        replicate([SimConfig(n=n, policy=policy, **base) for policy, n in points])
+        assert len(counted) == calls
+
     @pytest.mark.parametrize("group", [[], ["not a config"]], ids=["empty", "str"])
     def test_a_group_is_a_non_empty_sequence_of_configs(self, group):
         with pytest.raises(ValueError, match="non-empty sequence of SimConfigs"):
@@ -810,6 +837,32 @@ class TestWorkspace:
         for masked_chunk, direct_chunk in zip(masked, direct):
             for a, b in zip(masked_chunk, direct_chunk):
                 assert_same_bits(a, b)
+
+    def test_a_repeated_shape_gets_a_view_of_the_same_memory(self):
+        workspace = _Workspace()
+        first = workspace.array("x", (3, 4))
+        again = workspace.array("x", (3, 4))
+        assert again.shape == (3, 4) and again.ctypes.data == first.ctypes.data
+        assert np.shares_memory(first, again)
+
+    def test_after_the_buffer_grows_a_smaller_shape_reads_the_new_buffer(self):
+        workspace = _Workspace()
+        small = workspace.array("x", (2, 3))
+        large = workspace.array("x", (5, 3))
+        again = workspace.array("x", (2, 3))
+        assert np.shares_memory(again, large) and not np.shares_memory(again, small)
+
+    def test_each_name_keeps_only_its_last_view(self):
+        # the views handed out before the last of each name are referenced
+        # by nothing but the test, so dropping them frees them
+        workspace = _Workspace()
+        views = {"x": [], "y": []}
+        for shape in [(4,), (2, 2), (8,), (1, 3)]:
+            for name in views:
+                views[name].append(weakref.ref(workspace.array(name, shape, bool)))
+        gc.collect()
+        for refs in views.values():
+            assert [ref() is not None for ref in refs] == [False, False, False, True]
 
     @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(2), PreSelectedK(2)])
     def test_second_call_leaves_first_results_alone(self, policy):
