@@ -126,8 +126,9 @@ class ShiftedExponential:
     shift: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", _check_real("rate", self.rate, positive=True))
-        object.__setattr__(self, "shift", _check_real("shift", self.shift))
+        rate, shift = _check_rate_shift(self.rate, self.shift)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "shift", shift)
 
     def mean(self) -> float:
         return self.shift + 1.0 / self.rate

@@ -27,12 +27,9 @@ consecutive deliveries of a node.  Both paths give the same increments, up
 to the rounding of the area (see :meth:`_Run.credit`).  Each run keeps one
 workspace of flat buffers that every block reuses: the delays are drawn
 into it, and resolution and accumulation work in it in place, so that a
-block costs no fresh pages.  Each buffer also keeps the last view it
-handed out, and hands it out again while the shape repeats.  Blocks are
-small at small n, so numpy's per-call costs weigh as much as the
-arithmetic: the hot path calls ndarray methods rather than numpy's Python
-wrappers, and updates the state in place, not through index arrays, when
-every node has a delivery.
+block costs no fresh pages.  Blocks are small at small n, so numpy's
+per-call costs weigh as much as the arithmetic: the hot path calls
+ndarray methods and slices rather than numpy's Python wrappers.
 
 The warmup's sawtooth is not accounted: all it hands the measured rounds
 is each node's last warmup delivery, the generation and arrival times of
@@ -154,9 +151,9 @@ class PreSelectedK:
             )
 
 
-StoppingPolicy = Union[WaitForAll, EarliestK, PreSelectedK]
-# isinstance against a tuple is several times faster than against the Union.
+# isinstance against this tuple is several times faster than against the Union.
 _POLICIES = (WaitForAll, EarliestK, PreSelectedK)
+StoppingPolicy = Union[_POLICIES]
 
 
 def _policy_threshold(policy: StoppingPolicy, n: int) -> int:
@@ -176,26 +173,18 @@ class _Workspace:
     more; its contents are whatever the last user left.  Reuse saves the
     page faults of fresh allocations: every large array of the engine lives
     here, and what a view holds is safe only until its name is asked for
-    again.  Each name keeps the last view it handed out, and hands that
-    same view out again while the shape repeats, as it does from chunk to
-    chunk; another shape replaces it by a view of the (possibly grown)
-    buffer, so a name never holds more than one view.
+    again.
     """
 
     def __init__(self):
         self._buffers: dict = {}
-        self._views: dict = {}
 
-    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        view = self._views.get(name)
-        if view is not None and view.shape == shape:
-            return view
+    def array(self, name: str, shape, dtype=float) -> np.ndarray:
         size = math.prod(shape)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size, dtype)
-        view = self._views[name] = buffer[:size].reshape(shape)
-        return view
+        return buffer[:size].reshape(shape)
 
 
 def _slowest_rank_cdf(n: int, k: int) -> np.ndarray:
@@ -514,9 +503,7 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, ws):
     delivery's predecessor is the previous element; only the first delivery
     of each node takes its predecessor from ``last_wall``/``last_gen``.  The
     slice-sized arrays are buffers of ``ws``; only the index of the
-    deliveries is allocated anew (``nonzero`` takes no ``out``).  When every
-    node has a delivery, as is usual, ``hit`` is ``slice(None)``, so that the
-    nodes' state is read and updated in place rather than gathered.
+    deliveries is allocated anew (``nonzero`` takes no ``out``).
     Returns what :func:`_credit_rounds` does, for rounds starting at ``t_prev``.
     """
     rounds, n = delays.shape
@@ -527,14 +514,9 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, ws):
     delivery = mask.reshape(-1).nonzero()[0]
     # Where each node's deliveries start in the delivery index.
     bounds = delivery.searchsorted(np.arange(0, n * rounds + 1, rounds))
-    first, end = bounds[:-1], bounds[1:]
-    per_node = end - first
-    last = end - 1
-    if np.count_nonzero(per_node) == n:
-        hit = slice(None)
-    else:
-        hit = per_node.nonzero()[0]
-        first, last = first[hit], last[hit]
+    per_node = bounds[1:] - bounds[:-1]
+    hit = per_node.nonzero()[0]
+    first, last = bounds[hit], bounds[hit + 1] - 1
     delay, wall, g, term = ws.array("deliveries", (4, delivery.size))
     node_major.take(delivery, out=delay, mode="clip")
     node_major[...] = t_prev

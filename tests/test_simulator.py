@@ -1,12 +1,10 @@
 """Monte Carlo engine: round resolution, sawtooth accounting, oracle agreement."""
 
 import dataclasses
-import gc
 import inspect
 import itertools
 import math
 import time
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -851,18 +849,6 @@ class TestWorkspace:
         large = workspace.array("x", (5, 3))
         again = workspace.array("x", (2, 3))
         assert np.shares_memory(again, large) and not np.shares_memory(again, small)
-
-    def test_each_name_keeps_only_its_last_view(self):
-        # the views handed out before the last of each name are referenced
-        # by nothing but the test, so dropping them frees them
-        workspace = _Workspace()
-        views = {"x": [], "y": []}
-        for shape in [(4,), (2, 2), (8,), (1, 3)]:
-            for name in views:
-                views[name].append(weakref.ref(workspace.array(name, shape, bool)))
-        gc.collect()
-        for refs in views.values():
-            assert [ref() is not None for ref in refs] == [False, False, False, True]
 
     @pytest.mark.parametrize("policy", [WaitForAll(), EarliestK(2), PreSelectedK(2)])
     def test_second_call_leaves_first_results_alone(self, policy):
