@@ -7,53 +7,9 @@ package computes the resulting time-averaged age per node in closed form
 and cross-checks everything with a discrete-event Monte Carlo simulator.
 """
 
-from .analytics import (
-    AgeResult,
-    age_earliest_k,
-    age_earliest_k_approx,
-    age_preselected_k,
-    age_preselected_k_approx,
-    age_preselected_k_process,
-    age_wait_for_all,
-    age_wait_for_all_general,
-    optimal_alpha,
-    optimal_k_closed_form,
-    optimal_k_exact,
-)
-from .delay_models import (
-    DelayModel,
-    HyperExponential,
-    OrderStatMoments,
-    RandomStream,
-    ShiftedExponential,
-    harmonic,
-    harmonic2,
-    order_stat_moments,
-    partial_order_mean_sum,
-)
-from .experiments import (
-    DEFAULT_SEED,
-    SCHEMES,
-    Scheme,
-    SweepRow,
-    ValidationCell,
-    ValidationReport,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_sweep,
-    run_validation,
-)
-from .simulator import (
-    EarliestK,
-    PreSelectedK,
-    SimConfig,
-    SimResult,
-    SimulationError,
-    StoppingPolicy,
-    WaitForAll,
-    replicate,
-    run_rounds,
-)
+from .analytics import *
+from .delay_models import *
+from .experiments import *
+from .simulator import *
 
-__version__ = "0.14.1"
+__version__ = "0.15.0"

@@ -19,6 +19,7 @@ from .delay_models import (
     _check_count,
     _check_kn,
     _check_rate_shift,
+    _check_real,
     _tail_sums,
     harmonic,
     harmonic2,
@@ -123,10 +124,9 @@ def age_wait_for_all_general(
     ``E[X] + E[Y^2] / (2 E[Y])``, valid for any delay distribution under
     the zero-wait protocol with instantaneous acknowledgements.
     """
-    if not mean_delay > 0:
-        raise ValueError(f"mean_delay must be > 0, got {mean_delay}")
-    if not interval_mean > 0:
-        raise ValueError(f"interval_mean must be > 0, got {interval_mean}")
+    mean_delay = _check_real("mean_delay", mean_delay, positive=True)
+    interval_mean = _check_real("interval_mean", interval_mean, positive=True)
+    interval_second_moment = _check_real("interval_second_moment", interval_second_moment)
     if interval_second_moment < interval_mean * interval_mean * (1.0 - 1e-12):
         raise ValueError(
             "interval_second_moment must be >= interval_mean**2 "
@@ -204,7 +204,8 @@ def age_earliest_k_approx(rate: float, shift: float, alpha: float) -> AgeResult:
     only for alpha < 1; the logarithm diverges as alpha -> 1.
     """
     rate, shift = _check_rate_shift(rate, shift)
-    if not 0.0 < alpha < 1.0:
+    alpha = _check_real("alpha", alpha, positive=True)
+    if not alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     return _result(
         scheme="earliest_k",

@@ -37,6 +37,7 @@ from .delay_models import (
     ShiftedExponential,
     _check_count,
     _check_model,
+    _check_real,
     _check_seed,
 )
 from .simulator import (
@@ -55,8 +56,6 @@ __all__ = [
     "Scheme",
     "SCHEMES",
     "SweepRow",
-    "simulate_point",
-    "as_record",
     "run_sweep",
     "run_fig4",
     "run_fig5",
@@ -64,7 +63,6 @@ __all__ = [
     "ValidationCell",
     "ValidationReport",
     "run_validation",
-    "CSV_COLUMNS",
 ]
 
 DEFAULT_SEED = 123456789
@@ -337,8 +335,7 @@ def run_validation(
     simulated grand mean lies within ``z_threshold`` standard errors of
     the exact formula.
     """
-    if not z_threshold > 0:
-        raise ValueError(f"z threshold must be positive, got {z_threshold}")
+    z_threshold = _check_real("z_threshold", z_threshold, positive=True)
     points = [
         (ShiftedExponential(lam, shift), policy, n)
         for lam, shift in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0))

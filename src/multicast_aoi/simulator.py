@@ -562,21 +562,25 @@ def _streams(seed: int, replication: int, rounds: int, width: int):
     return delay_stream, group_stream
 
 
-def _draw(model: DelayModel, streams, rounds: int, width: int, ranked: bool, ws: _Workspace):
-    """A (rounds, width) block of delays, and its rank uniforms if ``ranked`` (else None)."""
+def _draw(model: DelayModel, streams, rounds: int, width: int, ws: _Workspace):
+    """A (rounds, width) block of delays and its rounds' rank uniforms.
+
+    Every group draws the uniforms, one per round from its group stream;
+    :func:`run_rounds` reads them only for a per-update pre-selected policy.
+    """
     delay_stream, group_stream = streams
     delays = model.sample(delay_stream, out=ws.array("delays", (rounds, width)))
-    return delays, group_stream.generator.random(rounds) if ranked else None
+    return delays, group_stream.generator.random(rounds)
 
 
-def _warmup_states(configs, replication: int, ranked: bool, ws: _Workspace) -> list:
+def _warmup_states(configs, replication: int, ws: _Workspace) -> list:
     """Each point's last warmup delivery per node, as a ``(last_wall, last_gen)`` array.
 
     Times are relative to the end of the warmup, where the measured rounds
     start.  Only that state survives the warmup, so it is built from the
     warmup's end: block by block, newest first (:func:`_warmup_blocks`),
-    each drawn as wide as the group from fresh streams moved to its first
-    round, and scanned by every point that still has a node without a
+    each drawn by :func:`_draw` as wide as the group, rank uniforms
+    included, from fresh streams moved to its first round, and scanned by every point that still has a node without a
     delivery, until none has or round 0 has been scanned.  A node with no
     warmup delivery keeps the state of the warmup's start.
     """
@@ -590,7 +594,7 @@ def _warmup_states(configs, replication: int, ranked: bool, ws: _Workspace) -> l
         if not scanning:
             break
         streams = _streams(lead.seed, replication, first, width)
-        delays, ranks = _draw(lead.model, streams, rounds, width, ranked, ws)
+        delays, ranks = _draw(lead.model, streams, rounds, width, ws)
         for i in scanning:
             n, (last_wall, last_gen) = configs[i].n, states[i]
             view = delays[:, :n]
@@ -613,11 +617,9 @@ def _simulate_group(configs, replication: int) -> list:
     """One replication of every point of a group, in lockstep (see :func:`replicate`)."""
     lead = configs[0]
     width = max(config.n for config in configs)
-    ranked = any(isinstance(config.policy, PreSelectedK) and config.policy.regroup == "per_update"
-                 for config in configs)
     ws = _Workspace()
     batches = max(1, min(_MAX_BATCHES, lead.updates // 50))
-    runs = [_Run(*state, batches) for state in _warmup_states(configs, replication, ranked, ws)]
+    runs = [_Run(*state, batches) for state in _warmup_states(configs, replication, ws)]
     streams = _streams(lead.seed, replication, lead.warmup, width)
     chunk_rounds = max(1, _CHUNK_ELEMENTS // width)
     base, extra = divmod(lead.updates, batches)
@@ -626,7 +628,7 @@ def _simulate_group(configs, replication: int) -> list:
         rounds = base + (b < extra)
         for done in range(0, rounds, chunk_rounds):
             size = min(chunk_rounds, rounds - done)
-            delays, ranks = _draw(lead.model, streams, size, width, ranked, ws)
+            delays, ranks = _draw(lead.model, streams, size, width, ws)
             for config, run in zip(configs, runs):
                 view = delays[:, :config.n]
                 y, delivered = run_rounds(config.policy, view, ranks, ws)

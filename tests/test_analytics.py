@@ -54,7 +54,7 @@ class TestWaitForAll:
             age_wait_for_all_general(1.0, 2.0, 3.9)
         with pytest.raises(ValueError):
             age_wait_for_all_general(0.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match="interval_mean must be > 0, got 0.0"):
+        with pytest.raises(ValueError, match="interval_mean must be finite and > 0, got 0.0"):
             age_wait_for_all_general(1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             age_wait_for_all(1.0, 0.0, 0)
@@ -464,6 +464,50 @@ class TestParameterSpellings:
         _, best = optimal_k_exact(np.float64(1.0), 1.0, 5)
         assert (type(best.params["lambda"]), type(best.params["shift"])) == (float, float)
         assert {type(term) for term in best.breakdown.values()} == {float}
+
+
+MOMENTS = ("mean_delay", "interval_mean", "interval_second_moment")
+GENERAL_MOMENTS = (1.3, 2.0, 5.0)
+
+
+def general_form_with(position, value):
+    """The general form at ``GENERAL_MOMENTS``, its ``position``-th moment set to ``value``."""
+    moments = list(GENERAL_MOMENTS)
+    moments[position] = value
+    return age_wait_for_all_general(*moments)
+
+
+class TestRealInputs:
+    """alpha and the general-form moments compute as the Python floats they equal."""
+
+    # no integer lies in alpha's domain (0, 1); a Fraction is the exact spelling
+    @pytest.mark.parametrize("alpha", [np.float32(0.6), np.float64(0.6), Fraction(3, 5)],
+                             ids=["float32", "float64", "fraction"])
+    def test_alpha_same_bits_as_python_float(self, alpha):
+        result = age_earliest_k_approx(1.0, 1.0, alpha)
+        assert repr(result) == repr(age_earliest_k_approx(1.0, 1.0, float(alpha)))
+        assert {type(param) for param in result.params.values()} == {float}
+        assert {type(term) for term in result.breakdown.values()} == {float}
+
+    @pytest.mark.parametrize("position", range(3), ids=MOMENTS)
+    @pytest.mark.parametrize("spell", [np.float32, np.float64, int], ids=lambda f: f.__name__)
+    def test_moments_same_bits_as_python_floats(self, position, spell):
+        value = spell(GENERAL_MOMENTS[position])  # int(1.3) is 1
+        result = general_form_with(position, value)
+        assert repr(result) == repr(general_form_with(position, float(value)))
+        assert {type(param) for param in result.params.values()} == {float}
+        assert {type(term) for term in result.breakdown.values()} == {float}
+
+    @pytest.mark.parametrize("bad", ["0.6", math.nan, math.inf, -math.inf])
+    def test_alpha_rejects_non_finite_and_non_reals(self, bad):
+        with pytest.raises(ValueError, match="^alpha must "):
+            age_earliest_k_approx(1.0, 1.0, bad)
+
+    @pytest.mark.parametrize("position", range(3), ids=MOMENTS)
+    @pytest.mark.parametrize("bad", ["2.0", math.nan, math.inf, -math.inf])
+    def test_moments_reject_non_finite_and_non_reals(self, position, bad):
+        with pytest.raises(ValueError, match=f"^{MOMENTS[position]} must "):
+            general_form_with(position, bad)
 
 
 class TestAgeResultValidation:

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from multicast_aoi import age_wait_for_all, cli
+from multicast_aoi import SweepRow, age_wait_for_all, cli
 from multicast_aoi.cli import main
 
 
@@ -493,6 +493,14 @@ class TestExperimentAndValidate:
         assert code == 0
         assert "0 failures" in out
 
+    def test_validate_fails_on_a_row_without_a_standard_error(self, capsys, monkeypatch):
+        row = SweepRow("wait_for_all", "shifted_exp(rate=1,shift=0)", 1.0, 0.0, 2, 2,
+                       13 / 6, float("nan"), 13 / 6, None, False)
+        monkeypatch.setattr("multicast_aoi.experiments.run_sweep", lambda *args: [row])
+        code, out, _ = run_cli(["validate", "--rounds", "200"], capsys)
+        assert code == 1
+        assert out.splitlines()[-2].startswith("FAIL") and out.splitlines()[-2].endswith("z=inf")
+
     def test_validate_fails_with_tiny_threshold(self, capsys):
         code, out, _ = run_cli(
             ["validate", "--rounds", "5000", "--seed", "7", "--z", "0.05"], capsys
@@ -582,7 +590,7 @@ class TestArgumentErrors:
     def test_incomplete_arguments_rejected(self, capsys, argv, message):
         assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("z", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("z", ["nan", "-1", "0", "inf"])
     def test_validate_rejects_threshold_before_simulating(self, capsys, monkeypatch, z):
         # a NaN threshold once failed every cell and exited 1 after the whole grid
         monkeypatch.setattr("multicast_aoi.experiments.run_sweep",

@@ -13,6 +13,7 @@ from multicast_aoi import (
     SCHEMES,
     EarliestK,
     PreSelectedK,
+    SweepRow,
     WaitForAll,
     age_earliest_k,
     age_earliest_k_approx,
@@ -98,6 +99,21 @@ class TestSchemeRegistry:
                 assert (None if got is None else got.total) == approx
             published = SCHEMES["preselected_k"].published(rate, shift, n, k)
             assert published.total == age_preselected_k(rate, shift, n, k).total
+
+
+def wait_for_all_row(sim_stderr, sim_age=13 / 6):
+    """A wait-for-all row at rate 1, shift 0, n = 2, whose exact age is 13/6."""
+    return SweepRow("wait_for_all", "shifted_exp(rate=1,shift=0)", 1.0, 0.0, 2, 2,
+                    sim_age, sim_stderr, 13 / 6, None, False)
+
+
+@pytest.fixture
+def stub_sweep(monkeypatch):
+    """Validation rows whose z are 0.5, then two with no usable standard error."""
+    rows = [wait_for_all_row(0.1, 13 / 6 + 0.05), wait_for_all_row(math.nan),
+            wait_for_all_row(0.0)]
+    monkeypatch.setattr("multicast_aoi.experiments.run_sweep", lambda *args: rows)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +348,27 @@ class TestValidationGrid:
         assert not report.passed
         failing = [c for c in report.cells if not c.passed]
         assert failing and all(c.scheme == "earliest_k" for c in failing)
+
+    def test_row_without_a_standard_error_fails(self, stub_sweep):
+        report = run_validation(rounds=200)
+        assert [cell.z for cell in report.cells] == [pytest.approx(0.5), math.inf, math.inf]
+        assert [cell.passed for cell in report.cells] == [True, False, False]
+        assert not report.passed
+        assert report.lines()[1].startswith("FAIL") and report.lines()[1].endswith("z=inf")
+
+    @pytest.mark.parametrize("threshold", [np.float32(0.3), np.float64(0.3), 3],
+                             ids=["float32", "float64", "int"])
+    def test_threshold_same_bits_as_python_float(self, stub_sweep, threshold):
+        report = run_validation(rounds=200, z_threshold=threshold)
+        assert repr(report) == repr(run_validation(rounds=200, z_threshold=float(threshold)))
+        assert type(report.z_threshold) is float
+
+    @pytest.mark.parametrize("threshold", ["4", math.nan, math.inf, -math.inf, 0])
+    def test_threshold_rejected_before_simulating(self, monkeypatch, threshold):
+        monkeypatch.setattr("multicast_aoi.experiments.run_sweep",
+                            lambda *args: pytest.fail("simulated"))
+        with pytest.raises(ValueError, match="^z_threshold must "):
+            run_validation(rounds=200, z_threshold=threshold)
 
     def test_k_equals_n_single_analytic_value(self, default_report):
         # every scheme has a k = n cell at each (lambda, shift, n)

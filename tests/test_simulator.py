@@ -605,7 +605,7 @@ class TestWarmupScan:
     def test_hyperexponential_scan_matches_forward_pass(self, policy, n, warmup):
         model = HyperExponential((1.0, 6.0), (0.4, 0.6))
         config = SimConfig(n=n, policy=policy, model=model, updates=100, warmup=warmup, seed=11)
-        last_wall, last_gen = simulator._warmup_states([config], 1, True, _Workspace())[0]
+        last_wall, last_gen = simulator._warmup_states([config], 1, _Workspace())[0]
         # The same blocks drawn oldest first from one stream pair, each node's
         # state moved round by round, with times from the warmup's start.
         delay_stream, group_stream = RandomStream(11, 2), RandomStream(11, 3)
