@@ -5,11 +5,13 @@ json`` dumps the record, ``--format csv`` writes its table (dataclass rows
 with one column per field, or the flattened results), and the human
 format writes labelled lines that the command holds as data.
 
-A call builds only its own command's flags: the parser lists every command
-by name and help line, but adds flags to the one that ``argv`` names (to
-all of them when it names none, as for ``-h``).  Each ``add_argument``
-costs a help formatter and a terminal-size query, and adding the flags of
-all five commands once took half of a cold ``optimize`` call.
+A call builds only its own command: when ``argv`` names one, the parser
+holds that command's subparser alone, and its usage line still lists all
+five by name; when it names none or an unknown one (as for ``-h``), the
+parser holds all five with their flags.  Each ``ArgumentParser`` and each
+``add_argument`` costs a help formatter and a terminal-size query, and
+building the four commands a call does not run once took a quarter of a
+cold ``optimize`` call.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 argument error
 (including a simulation too short to give every node an update, and an
@@ -180,12 +182,17 @@ def _seed(args) -> int:
         raise _CliError(f"AOI_SEED must be an integer, got {raw!r}") from exc
 
 
+def _shift(args) -> float:
+    """``--shift``, else 0: the flag's own default is unset, so that a given 0 shows."""
+    return 0.0 if args.shift is None else args.shift
+
+
 def _build_model(args):
     if args.hyperexp is None:
         if args.lam is None:
             raise _CliError("a delay model is required: give --lambda (and --shift) or --hyperexp")
-        return ShiftedExponential(args.lam, args.shift)
-    if args.lam is not None or args.shift:
+        return ShiftedExponential(args.lam, _shift(args))
+    if args.lam is not None or args.shift is not None:
         raise _CliError("--lambda and --shift do not apply with --hyperexp")
     try:
         rates_text, weights_text = args.hyperexp.split(":")
@@ -222,6 +229,7 @@ def _analyze(args) -> int:
         raise _CliError("analyze requires --lambda")
     if args.k is not None and args.alpha is not None:
         raise _CliError("--k and --alpha are mutually exclusive; give exactly one")
+    shift = _shift(args)
 
     ages = {"exact": None, "approx": None}
     if args.alpha is not None:
@@ -229,11 +237,11 @@ def _analyze(args) -> int:
             raise _CliError("--alpha applies only to --scheme earliest-k")
         if args.n is not None:
             raise _CliError("--n does not apply with --alpha; give --alpha alone")
-        ages["approx"] = age_earliest_k_approx(args.lam, args.shift, args.alpha)
+        ages["approx"] = age_earliest_k_approx(args.lam, shift, args.alpha)
     else:
         if args.n is None:
             raise _CliError(f"--scheme {args.scheme} requires --n")
-        point = (args.lam, args.shift, args.n, _scheme_k(scheme, args.n, args.k))
+        point = (args.lam, shift, args.n, _scheme_k(scheme, args.n, args.k))
         estimated = scheme.estimated(*point)
         ages["approx"] = scheme.approx(*point)
         if scheme.published is None:
@@ -242,7 +250,7 @@ def _analyze(args) -> int:
             ages["exact"] = scheme.published(*point)
             ages["process"] = estimated
 
-    human = [{"scheme": args.scheme}, {"lambda": args.lam}, {"shift": args.shift},
+    human = [{"scheme": args.scheme}, {"lambda": args.lam}, {"shift": shift},
              {"n": args.n}, {"k": args.k}, {"alpha": args.alpha},
              {"exact age": ages["exact"] or "(none)"},
              {"approximate age": ages["approx"] or "(none)"},
@@ -295,21 +303,22 @@ def _simulate(args) -> int:
 def _optimize(args) -> int:
     if args.lam is None:
         raise _CliError("optimize requires --lambda")
-    alpha = optimal_alpha(args.lam, args.shift)
-    k_closed = optimal_k_closed_form(args.lam, args.shift, args.n)
+    shift = _shift(args)
+    alpha = optimal_alpha(args.lam, shift)
+    k_closed = optimal_k_closed_form(args.lam, shift, args.n)
     results = {
         "alpha_star": alpha,
         "approx_age_at_alpha_star": (
-            age_earliest_k_approx(args.lam, args.shift, alpha).total
+            age_earliest_k_approx(args.lam, shift, alpha).total
             if 0.0 < alpha < 1.0 else None
         ),
         "k_closed_form": k_closed,
-        "exact_age_at_k_closed_form": age_earliest_k(args.lam, args.shift, args.n, k_closed).total,
+        "exact_age_at_k_closed_form": age_earliest_k(args.lam, shift, args.n, k_closed).total,
     }
-    k_best, best = optimal_k_exact(args.lam, args.shift, args.n)
+    k_best, best = optimal_k_exact(args.lam, shift, args.n)
     results.update(k_exhaustive=k_best, exact_age_at_k_exhaustive=best.total)
 
-    inputs = {"lambda": args.lam, "shift": args.shift, "n": args.n}
+    inputs = {"lambda": args.lam, "shift": shift, "n": args.n}
     human = [inputs] + [{label: results[key]} for key, label in _OPTIMIZE_LABELS.items()]
     _emit(args, {**inputs, **results}, _flat_table(results), _labelled(human))
     return 0
@@ -358,7 +367,7 @@ def _figure_help(what: str, dest: str) -> str:
 def _add_model_flags(parser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="rate of the (shifted) exponential delay")
-    parser.add_argument("--shift", type=float, default=0.0,
+    parser.add_argument("--shift", type=float, default=None,
                         help="constant delay floor c (default 0)")
 
 
@@ -428,20 +437,26 @@ _COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, with the flags of ``command`` only (all if None)."""
+    """The parser of ``command`` alone, or of every command if None.
+
+    A one-command parser names all five in its usage line through the
+    subparsers' metavar; the full build leaves the metavar unset, so that a
+    missing command is still reported as "required: command".
+    """
     parser = argparse.ArgumentParser(
         prog="multicast-aoi",
         description="Average age of information for multicast status updates: "
         "closed forms, threshold optimization, and Monte Carlo simulation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, add_flags) in _COMMANDS.items():
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _, summary, add_flags = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        if command in (None, name):
-            p.add_argument("--format", choices=("human", "csv", "json"), default="human")
-            p.add_argument("--output", default=None,
-                           help="write to this path instead of stdout (created or emptied first)")
-            add_flags(p)
+        p.add_argument("--format", choices=("human", "csv", "json"), default="human")
+        p.add_argument("--output", default=None,
+                       help="write to this path instead of stdout (created or emptied first)")
+        add_flags(p)
     return parser
 
 

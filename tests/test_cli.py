@@ -248,7 +248,7 @@ class TestSimulate:
         assert code == 0
         assert "hyperexp(rates=1|6,weights=0.4|0.6)" in out
 
-    @pytest.mark.parametrize("flags", [["--lambda", "7"], ["--shift", "0.5"]])
+    @pytest.mark.parametrize("flags", [["--lambda", "7"], ["--shift", "0.5"], ["--shift", "0"]])
     def test_exponential_flags_rejected_with_hyperexp(self, capsys, flags):
         code, out, err = run_cli(
             ["simulate", "--scheme", "earliest-k", "--n", "3", "--k", "1",
@@ -524,7 +524,7 @@ COMMANDS = ["analyze", "simulate", "optimize", "experiment", "validate"]
 
 
 class TestParserPerCommand:
-    """A call builds only its own command's flags, and parses as the full parser does."""
+    """A call builds only its own command, and parses as the full parser does."""
 
     @pytest.fixture(autouse=True)
     def columns(self, monkeypatch):
@@ -532,11 +532,24 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_own_flags_match_the_full_build(self, command):
-        full, own = subcommands(cli.build_parser()), subcommands(cli.build_parser(command))
-        assert list(own) == COMMANDS
+        full_parser, own_parser = cli.build_parser(), cli.build_parser(command)
+        full, own = subcommands(full_parser), subcommands(own_parser)
+        assert list(own) == [command]
         assert action_fields(own[command]) == action_fields(full[command])
-        for other in set(COMMANDS) - {command}:
-            assert [action.dest for action in own[other]._actions] == ["help"]
+        assert own_parser.format_usage() == full_parser.format_usage()
+
+    @pytest.mark.parametrize("command, parsers", [("optimize", 2), (None, 6)])
+    def test_parsers_built(self, monkeypatch, command, parsers):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser(command)
+        assert len(built) == parsers
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_matches_the_full_build(self, capsys, command):
@@ -546,11 +559,22 @@ class TestParserPerCommand:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_unknown_flag_fails_as_in_the_full_build(self, capsys, command):
         argv = [command, "--bogus"]
+        self.assert_fails_as_in_the_full_build(capsys, argv)
+
+    def test_stray_positional_fails_as_in_the_full_build(self, capsys):
+        # the main parser reports it, under the usage line that lists every command
+        argv = ["optimize", "--lambda", "1", "--n", "3", "extra"]
+        err = self.assert_fails_as_in_the_full_build(capsys, argv)
+        assert "{analyze,simulate,optimize,experiment,validate}" in err
+
+    @staticmethod
+    def assert_fails_as_in_the_full_build(capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         expected = capsys.readouterr()
         assert run_cli(argv, capsys) == (exc.value.code, "", expected.err)
         assert exc.value.code == 2 and expected.err
+        return expected.err
 
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         argv = ["optimize", "--lambda", "1", "--shift", "1", "--n", "100"]
@@ -562,7 +586,7 @@ class TestParserPerCommand:
 
 class TestArgumentErrors:
     def test_unknown_flag(self, capsys):
-        # the usage lists every command, though only analyze's flags are built
+        # the usage lists every command, though only analyze is built
         code, out, err = run_cli(["analyze", "--scheme", "earliest-k", "--bogus", "1"], capsys)
         assert code == 2 and out == ""
         assert err.startswith(
