@@ -115,6 +115,13 @@ def _check_rate_shift(rate, shift) -> tuple[float, float]:
     return _check_real("rate", rate, positive=True), _check_real("shift", shift)
 
 
+def _uniforms(stream: RandomStream, size, out) -> np.ndarray:
+    """``size`` uniforms in [0, 1) from ``stream``, or as many as ``out`` holds, written into it."""
+    if size is None and out is None:
+        raise ValueError("sample needs one of size and out")
+    return stream.generator.random(size, out=out)
+
+
 @dataclass(frozen=True)
 class ShiftedExponential:
     """Exponential(rate) delay translated right by ``shift`` >= 0.
@@ -144,7 +151,7 @@ class ShiftedExponential:
         """
         # Inverse CDF on u in [0, 1): shift - log1p(-u)/rate, always finite
         # and >= shift.
-        u = stream.generator.random(size, out=out)
+        u = _uniforms(stream, size, out)
         np.negative(u, out=u)
         np.log1p(u, out=u)
         np.divide(u, self.rate, out=u)
@@ -201,7 +208,7 @@ class HyperExponential:
         ``rate_c`` given c.
         """
         edges, high, inv_rates, log_width_over_rates = self._intervals  # type: ignore[attr-defined]
-        out = stream.generator.random(size, out=out)
+        out = _uniforms(stream, size, out)
         flat = out.ravel(order="K")
         for start in range(0, flat.size, _SAMPLE_BLOCK):
             block = flat[start:start + _SAMPLE_BLOCK]

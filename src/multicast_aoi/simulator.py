@@ -9,7 +9,8 @@ the accumulated sawtooth area divided by the observed span.
 
 The engine advances whole blocks of rounds with vectorized numpy and is
 deterministic given ``(seed, replication index)`` for a given package
-version.  Per block it samples the delays, resolves every round at once
+version.  Per block it samples the delays, screens them once, at the
+block's full width (finite and nonnegative), resolves every round at once
 and credits the rounds, with no loop over nodes.
 Earliest-k and per-update pre-selected rounds share one resolve: a sorted
 copy of each row, from which earliest-k reads its k-th smallest delay, and
@@ -24,12 +25,20 @@ durations with the delays, plus one correction per miss.  Otherwise the
 block is cut into slices, and each slice's deliveries are picked out of
 its node-major copy into one flat array and credited as trapezoids between
 consecutive deliveries of a node.  Both paths give the same increments, up
-to the rounding of the area (see :meth:`_Run.credit`).  Each run keeps one
-workspace of flat buffers that every block reuses: the delays are drawn
-into it, and resolution and accumulation work in it in place, so that a
-block costs no fresh pages.  Blocks are small at small n, so numpy's
-per-call costs weigh as much as the arithmetic: the hot path calls
-ndarray methods and slices rather than numpy's Python wrappers.
+to the rounding of the area (see :meth:`_Run.credit`).
+
+For a policy that delivers to each round's k earliest nodes (earliest-k,
+or k == n), resolution hands on the round durations and the rounds tied at
+them, not a mask: such a round misses exactly n - k deliveries, so the path
+is chosen without one, and each path builds the mask in the layout it
+reads, the deliveries path by one comparison of its node-major copy.  A
+pre-selected group short of n hands on a round-major mask.
+
+Each run keeps one workspace of flat buffers that every block reuses: the
+delays are drawn into it, and resolution and accumulation work in it in
+place, so that a block costs no fresh pages.  Blocks are small at small
+n, so numpy's per-call costs weigh as much as the arithmetic: the hot path
+calls ndarray methods and slices rather than numpy's Python wrappers.
 
 The warmup's sawtooth is not accounted: all it hands the measured rounds
 is each node's last warmup delivery, the generation and arrival times of
@@ -200,11 +209,66 @@ def _slowest_rank_cdf(n: int, k: int) -> np.ndarray:
     return cdf
 
 
+def _screen(delays: np.ndarray) -> None:
+    """Raise unless every delay is finite and nonnegative.
+
+    Read as unsigned integers, the bits of finite nonnegative doubles lie
+    below those of +inf, and the bits of NaN, negatives and -0.0 above; so
+    one integer max screens the matrix in a single pass.  The exact check
+    runs only when the screen fails, and lets -0.0 through.
+    """
+    if delays.size and delays.view(np.uint64).max() >= _INF_BITS:
+        if not (delays.min() >= 0 and delays.max() < np.inf):
+            raise ValueError("delays must be finite and nonnegative")
+
+
+class _FirstK:
+    """The deliveries of rounds that each reach their k earliest nodes.
+
+    ``y`` holds the rounds' durations and ``tied``, in increasing order,
+    the rounds in which more than k delays are at most ``y``.  Sliced by
+    rows like the mask it stands for; :meth:`mask` builds that mask.
+    """
+
+    __slots__ = ("y", "k", "tied")
+
+    def __init__(self, y, k, tied):
+        self.y, self.k, self.tied = y, k, tied
+
+    def __getitem__(self, rows: slice) -> "_FirstK":
+        tied = self.tied
+        if tied.size:
+            first, stop = tied.searchsorted((rows.start, rows.stop))
+            tied = tied[first:stop] - rows.start
+        # A node-major mask compares each node's row against y, twice as
+        # fast when y is contiguous.
+        return _FirstK(self.y[rows].copy(), self.k, tied)
+
+    def mask(self, delays, out):
+        """``out``, filled with the (rounds, n) delivery mask of ``delays``.
+
+        Either may be the transpose of a node-major array: the comparison
+        runs in memory order.  In a tied round every delay below y is
+        delivered and the remaining places go to the tied nodes, lowest
+        index first.
+        """
+        np.less_equal(delays, self.y[:, None], out=out)
+        tied = self.tied
+        if tied.size:
+            rows, y_tied = delays[tied], self.y[tied, None]
+            at_y = rows == y_tied
+            room = self.k - np.count_nonzero(rows < y_tied, axis=1)
+            out[tied] &= ~at_y | (at_y.cumsum(axis=1) <= room[:, None])
+        return out
+
+
 def run_rounds(
     policy: StoppingPolicy,
     delays: np.ndarray,
     rank_uniforms: Optional[np.ndarray] = None,
     workspace: Optional[_Workspace] = None,
+    *,
+    engine: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve many update rounds at once.
 
@@ -221,29 +285,25 @@ def run_rounds(
     the R-th smallest delay as ``y`` gives ``(y, delivered)`` the law of an
     explicit group, ties included.  Without a ``workspace`` the caller owns
     the returned arrays; with one, they may be views of its buffers.
+
+    ``engine=True`` is the engine's call: its delays were screened when
+    their block was drawn (:func:`_draw`), and for earliest-k or k == n
+    ``delivered`` is a :class:`_FirstK`, from which the crediting path
+    builds the mask in the layout it reads.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 2:
         raise ValueError(f"delays must be a (rounds, n) matrix, got shape {delays.shape}")
-    # Read as unsigned integers, the bits of finite nonnegative doubles lie
-    # below those of +inf, and the bits of NaN, negatives and -0.0 above; so
-    # one integer max screens the matrix in a single pass.  The exact check
-    # runs only when the screen fails, and lets -0.0 through.
-    if delays.size and delays.view(np.uint64).max() >= _INF_BITS:
-        if not (delays.min() >= 0 and delays.max() < np.inf):
-            raise ValueError("delays must be finite and nonnegative")
+    if not engine:
+        _screen(delays)
     rounds, n = delays.shape
     k = _policy_threshold(policy, n)
     ws = workspace if workspace is not None else _Workspace()
-    delivered = ws.array("delivered", (rounds, n), bool)
-
+    tied = None
     if k == n:
-        # Wait-for-all, or any policy with k == n.
-        y = delays.max(axis=1)
-        delivered.fill(True)
-        return y, delivered
-
-    if isinstance(policy, PreSelectedK) and policy.regroup == "fixed":
+        # Wait-for-all, or any policy with k == n: no round has a tie to break.
+        y, tied = delays.max(axis=1), np.empty(0, int)
+    elif isinstance(policy, PreSelectedK) and policy.regroup == "fixed":
         y = delays[:, :k].max(axis=1)
     else:
         if isinstance(policy, PreSelectedK):
@@ -254,25 +314,22 @@ def run_rounds(
         np.copyto(ordered, delays)
         ordered.sort(axis=1)
         if isinstance(policy, EarliestK):
+            # y stays a strided column: _credit_rounds' einsum sums round
+            # differently over a contiguous copy, which would move output bits.
             y = ordered[:, k - 1]
+            # A row holds more than k delays <= y only when several tie at
+            # y, that is when its sorted copy holds y again at index k.
+            tied = (ordered[:, k] == y).nonzero()[0]
         else:
             # Column R - 1 of each sorted row, as a flat index.
             pick = np.searchsorted(_slowest_rank_cdf(n, k), rank_uniforms, side="right")
             pick += np.arange(k - 1, rounds * n, n)
             y = ordered.take(pick)
-    np.less_equal(delays, y[:, None], out=delivered)
-    if isinstance(policy, EarliestK):
-        # A row holds more than k delays <= y only when several tie at y, that
-        # is when its sorted copy holds y again at index k: there every delay
-        # below y is delivered and the remaining places go to the tied nodes,
-        # lowest index first.
-        tied = (ordered[:, k] == y).nonzero()[0]
-        if tied.size:
-            rows, y_tied = delays[tied], y[tied, None]
-            at_y = rows == y_tied
-            room = k - np.count_nonzero(rows < y_tied, axis=1)
-            delivered[tied] &= ~at_y | (at_y.cumsum(axis=1) <= room[:, None])
-    return y, delivered
+    if tied is None:
+        # A pre-selected group short of n: every delay <= y is delivered.
+        return y, np.less_equal(delays, y[:, None], out=ws.array("delivered", (rounds, n), bool))
+    first_k = _FirstK(y, k, tied)
+    return y, (first_k if engine else _round_major(first_k, delays, ws))
 
 
 def _check_rank_uniforms(u, rounds: int) -> np.ndarray:
@@ -355,10 +412,12 @@ class _Run:
     def credit(self, b, y, delays, delivered, ws):
         """Credit a chunk of rounds, of durations ``y``, to batch ``b``.
 
-        A chunk in which at most ``_DENSE_MISS_SHARE`` of its (round, node)
-        pairs miss the update is credited round by round in one call
-        (:func:`_credit_rounds`, with ``delivered`` None when nothing misses);
-        any other chunk by its deliveries (:func:`_credit_deliveries`), in
+        ``delivered`` is a round-major mask or a :class:`_FirstK`, whose
+        misses are counted without a mask.  A chunk in which at most
+        ``_DENSE_MISS_SHARE`` of its (round, node) pairs miss the update is
+        credited round by round in one call (:func:`_credit_rounds`, on the
+        round-major mask, None when nothing misses); any other chunk by its
+        deliveries (:func:`_credit_deliveries`, on a node-major mask), in
         slices of ``_SLICE_ELEMENTS``.  On the same rounds the two paths give
         the same increments up to the rounding of the area: spans, counts and
         the last deliveries are the same floats.  One call in place of several
@@ -370,14 +429,19 @@ class _Run:
         y.cumsum(out=t_edges[1:])
         duration = float(t_edges[-1])
         t_edges += self.t
-        misses = delivered.size - np.count_nonzero(delivered)
-        if misses <= _DENSE_MISS_SHARE * delivered.size:
-            self._add(b, *_credit_rounds(t_edges, y, delays, delivered if misses else None,
+        rounds, n = delays.shape
+        if isinstance(delivered, _FirstK):
+            misses = rounds * (n - delivered.k)
+        else:
+            misses = delivered.size - np.count_nonzero(delivered)
+        if misses <= _DENSE_MISS_SHARE * delays.size:
+            self._add(b, *_credit_rounds(t_edges, y, delays,
+                                         _round_major(delivered, delays, ws) if misses else None,
                                          self.last_wall, self.last_gen, ws))
         else:
-            step = max(1, _SLICE_ELEMENTS // delays.shape[1])
-            for i in range(0, len(y), step):
-                rows = slice(i, min(i + step, len(y)))
+            step = max(1, _SLICE_ELEMENTS // n)
+            for i in range(0, rounds, step):
+                rows = slice(i, min(i + step, rounds))
                 self._add(b, *_credit_deliveries(t_edges[rows], delays[rows], delivered[rows],
                                                  self.last_wall, self.last_gen, ws))
         self.batch_time[b] += duration
@@ -501,16 +565,21 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, ws):
     deliveries of the slice are picked out of its node-major copy into one
     flat array, node by node and in round order within a node, so that each
     delivery's predecessor is the previous element; only the first delivery
-    of each node takes its predecessor from ``last_wall``/``last_gen``.  The
-    slice-sized arrays are buffers of ``ws``; only the index of the
-    deliveries is allocated anew (``nonzero`` takes no ``out``).
-    Returns what :func:`_credit_rounds` does, for rounds starting at ``t_prev``.
+    of each node takes its predecessor from ``last_wall``/``last_gen``.  A
+    :class:`_FirstK` builds the node-major mask from the node-major copy; a
+    round-major mask is transposed.  The slice-sized arrays are buffers of
+    ``ws``; only the index of the deliveries is allocated anew (``nonzero``
+    takes no ``out``).  Returns what :func:`_credit_rounds` does, for rounds
+    starting at ``t_prev``.
     """
     rounds, n = delays.shape
     node_major = ws.array("node_major", (n, rounds))
     node_major[...] = delays.T
     mask = ws.array("node_mask", (n, rounds), bool)
-    mask[...] = delivered.T
+    if isinstance(delivered, _FirstK):
+        delivered.mask(node_major.T, mask.T)
+    else:
+        mask[...] = delivered.T
     delivery = mask.reshape(-1).nonzero()[0]
     # Where each node's deliveries start in the delivery index.
     bounds = delivery.searchsorted(np.arange(0, n * rounds + 1, rounds))
@@ -535,6 +604,13 @@ def _credit_deliveries(t_prev, delays, delivered, last_wall, last_gen, ws):
     np.multiply(delay, g, out=delay)
     np.add(term, delay, out=term)
     return hit, np.add.reduceat(term, first), wall[last], gen, per_node
+
+
+def _round_major(delivered, delays, ws):
+    """The (rounds, n) mask that ``delivered``, a mask or a :class:`_FirstK`, stands for."""
+    if isinstance(delivered, _FirstK):
+        return delivered.mask(delays, ws.array("delivered", delays.shape, bool))
+    return delivered
 
 
 def _warmup_blocks(warmup: int, n: int):
@@ -563,13 +639,14 @@ def _streams(seed: int, replication: int, rounds: int, width: int):
 
 
 def _draw(model: DelayModel, streams, rounds: int, width: int, ws: _Workspace):
-    """A (rounds, width) block of delays and its rounds' rank uniforms.
+    """A (rounds, width) block of delays, screened, and its rounds' rank uniforms.
 
     Every group draws the uniforms, one per round from its group stream;
     :func:`run_rounds` reads them only for a per-update pre-selected policy.
     """
     delay_stream, group_stream = streams
     delays = model.sample(delay_stream, out=ws.array("delays", (rounds, width)))
+    _screen(delays)
     return delays, group_stream.generator.random(rounds)
 
 
@@ -598,7 +675,8 @@ def _warmup_states(configs, replication: int, ws: _Workspace) -> list:
         for i in scanning:
             n, (last_wall, last_gen) = configs[i].n, states[i]
             view = delays[:, :n]
-            y, delivered = run_rounds(configs[i].policy, view, ranks, ws)
+            y, delivered = run_rounds(configs[i].policy, view, ranks, ws, engine=True)
+            delivered = _round_major(delivered, view, ws)
             # From the start of each round to the end of the block.
             to_end = y[::-1].cumsum()[::-1]
             row = rounds - 1 - delivered[::-1].argmax(axis=0)
@@ -631,7 +709,7 @@ def _simulate_group(configs, replication: int) -> list:
             delays, ranks = _draw(lead.model, streams, size, width, ws)
             for config, run in zip(configs, runs):
                 view = delays[:, :config.n]
-                y, delivered = run_rounds(config.policy, view, ranks, ws)
+                y, delivered = run_rounds(config.policy, view, ranks, ws, engine=True)
                 run.credit(b, y, view, delivered, ws)
     return [run.result(lead.updates) for run in runs]
 

@@ -144,6 +144,14 @@ class TestSamplersBitIdentical:
         assert model.sample(RandomStream(seed, 4), out=out) is out
         assert same_bits(out, expected)
 
+    @pytest.mark.parametrize("model, reference", SAMPLERS, ids=SAMPLER_IDS)
+    def test_a_draw_needs_size_or_out(self, model, reference):
+        stream = RandomStream(3)
+        with pytest.raises(ValueError, match="^sample needs one of size and out$"):
+            model.sample(stream)
+        # the refused call drew nothing
+        assert same_bits(model.sample(stream, 5), reference(model, RandomStream(3), 5))
+
     def test_consecutive_draws_into_one_buffer_follow_the_stream(self):
         model = HyperExponential((1.0, 6.0), (0.4, 0.6))
         stream, reference_stream = RandomStream(12), RandomStream(12)

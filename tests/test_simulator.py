@@ -437,6 +437,35 @@ class TestEngineMatchesScalarReference:
             chunks.append(name.removeprefix("_credit_"))
         assert len(chunks) == 8 and set(chunks) == paths
 
+    @pytest.mark.parametrize("points", [
+        [(EarliestK(4), 10)],
+        # 15 of 16 misses 1/16 of the pairs: credited round by round
+        [(EarliestK(4), 10), (EarliestK(2), 6), (EarliestK(15), 16), (EarliestK(5), 12)],
+    ], ids=["alone", "group"])
+    def test_ties_at_y_go_to_the_lowest_indices(self, monkeypatch, points):
+        # delays on a grid of 1/4 tie at y in most rounds; 64-element slices
+        # cut each batch of 50 rounds into several
+        sample = ShiftedExponential.sample
+
+        def coarse(model, stream, size=None, out=None):
+            drawn = sample(model, stream, size, out)
+            np.multiply(drawn, 4.0, out=drawn)
+            np.floor(drawn, out=drawn)
+            return np.multiply(drawn, 0.25, out=drawn)
+
+        monkeypatch.setattr(ShiftedExponential, "sample", coarse)
+        monkeypatch.setattr(simulator, "_SLICE_ELEMENTS", 64)
+        model = ShiftedExponential(1.3, 0.4)
+        width = max(n for _, n in points)
+        delays = np.sort(model.sample(RandomStream(97, 0), (425, width))[:, :10], axis=1)
+        assert np.mean(delays[:, 3] == delays[:, 4]) > 0.5
+        configs = [SimConfig(n=n, policy=policy, model=model, updates=400, warmup=25, seed=97)
+                   for policy, n in points]
+        for config, result in zip(configs, replicate(configs)):
+            per_node, fraction, _, _ = reference_simulate(config, width=width)
+            np.testing.assert_array_equal(result.delivery_fraction, fraction)
+            np.testing.assert_allclose(result.per_node_avg_age, per_node, rtol=1e-12)
+
 
 def assert_same_results(got, expected):
     """Every field of two lists of results, bit for bit."""
@@ -522,9 +551,9 @@ class TestGroups:
         # the benchmark counts resolves by wrapping this module attribute
         counted = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             counted.append(args)
-            return run_rounds(*args)
+            return run_rounds(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 160)
         monkeypatch.setattr(simulator, "run_rounds", counting)
@@ -1094,6 +1123,51 @@ class TestDeterminismAndAggregation:
         assert result.std_error.hex() == std_error
         assert result.virtual_time.hex() == virtual_time
 
+    # float.hex as above, recorded with version 0.15.1 on x86-64 with numpy
+    # 2.4, of earliest-k runs at n = 100: at k = 73 and 50 each batch of 625
+    # rounds spans two 2**15-element slices of the deliveries path; k = 96
+    # misses 4% of the pairs, so its batches are credited round by round
+    PINNED_N100_BITS = [
+        (EarliestK(73), ShiftedExponential(1.0, 0.5),
+         "0x1.4b535bba884b8p+1", "0x1.56a79d1ddbce5p-10", "0x1.186abc76141dbp+15"),
+        (EarliestK(50), HyperExponential((1.0, 6.0), (0.4, 0.6)),
+         "0x1.97641bc87b2cdp-2", "0x1.401e00689828fp-11", "0x1.0089eef11c2a2p+12"),
+        (EarliestK(96), ShiftedExponential(1.0, 0.5),
+         "0x1.ad2b2627e5cccp+1", "0x1.06cb2b454b34bp-9", "0x1.19bf058a6b101p+16"),
+    ]
+
+    @pytest.mark.parametrize(
+        "policy, model, grand_mean, std_error, virtual_time", PINNED_N100_BITS,
+        ids=["earliest_k_sliced", "hyperexp_sliced", "earliest_k_round_by_round"],
+    )
+    def test_pinned_n100_bits(self, policy, model, grand_mean, std_error, virtual_time):
+        result = replicate(SimConfig(n=100, policy=policy, model=model, updates=20_000, seed=5))
+        assert result.grand_mean.hex() == grand_mean
+        assert result.std_error.hex() == std_error
+        assert result.virtual_time.hex() == virtual_time
+
+    # float.hex as above, same version, of one lockstep group at fig6's k*:
+    # every point reads the first n of 191 columns, and the narrow ones
+    # credit strided views
+    PINNED_GROUP_BITS = [
+        (11, 8, "0x1.c1f9660b9741dp+1", "0x1.68c3f29735740p-8", "0x1.55dd5a7c3c7e5p+15"),
+        (61, 45, "0x1.c2d17b88b8724p+1", "0x1.867ce56e5c1b4p-10", "0x1.69c5b92330adep+15"),
+        (191, 140, "0x1.c2fd074069009p+1", "0x1.0f79065fcfb3ep-10", "0x1.696590718e9c8p+15"),
+    ]
+
+    def test_pinned_group_bits(self):
+        configs = [
+            SimConfig(n=n, policy=EarliestK(k), model=ShiftedExponential(1.0, 1.0),
+                      updates=20_000, seed=5)
+            for n, k, *_ in self.PINNED_GROUP_BITS
+        ]
+        for (*_, grand_mean, std_error, virtual_time), result in zip(
+            self.PINNED_GROUP_BITS, replicate(configs)
+        ):
+            assert result.grand_mean.hex() == grand_mean
+            assert result.std_error.hex() == std_error
+            assert result.virtual_time.hex() == virtual_time
+
     # float.hex as above, recorded with version 0.5.0 (std errors with 0.6.1,
     # wait-for-all and pre-selected credited round by round with 0.6.2, the
     # warmup scanned from its end with 0.9.0), of runs whose warmup hands its
@@ -1238,6 +1312,29 @@ class TestFailureModes:
         assert as_numpy == as_python
         assert type(as_numpy.warmup) is int and type(as_numpy.policy.k) is int
         assert replicate(as_numpy).grand_mean == replicate(as_python).grand_mean
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0],
+                             ids=["nan", "inf", "minus_inf", "negative"])
+    @pytest.mark.parametrize("block", [0, 1], ids=["warmup", "measured"])
+    @pytest.mark.parametrize("sizes", [[8], [3, 8, 5]], ids=["alone", "group"])
+    def test_every_drawn_delay_is_screened(self, monkeypatch, bad, block, sizes):
+        # a warmup of 25 rounds is one block, drawn first; the bad delay sits
+        # in the last column, which only the widest point reads
+        sample, calls = ShiftedExponential.sample, []
+
+        def spoiled(model, stream, size=None, out=None):
+            drawn = sample(model, stream, size, out)
+            if len(calls) == block:
+                drawn[-1, -1] = bad
+            calls.append(drawn.shape)
+            return drawn
+
+        monkeypatch.setattr(ShiftedExponential, "sample", spoiled)
+        configs = [SimConfig(n=n, policy=EarliestK(2), model=MODEL, updates=200, warmup=25,
+                             seed=3) for n in sizes]
+        with pytest.raises(ValueError, match="finite"):
+            replicate(configs if len(configs) > 1 else configs[0])
+        assert calls[block][1] == 8
 
     def test_too_few_updates_for_statistics(self):
         with pytest.raises(ValueError, match="at least 100 measured updates"):
