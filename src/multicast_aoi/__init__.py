@@ -12,4 +12,4 @@ from .delay_models import *
 from .experiments import *
 from .simulator import *
 
-__version__ = "0.15.2"
+__version__ = "0.16.0"

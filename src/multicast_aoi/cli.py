@@ -25,7 +25,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -169,19 +168,6 @@ def _emit(args, record, csv_table, human=None) -> None:
     args.stream.write(text)
 
 
-def _seed(args) -> int:
-    """``--seed``, else the ``AOI_SEED`` environment variable, else the default."""
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("AOI_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _CliError(f"AOI_SEED must be an integer, got {raw!r}") from exc
-
-
 def _shift(args) -> float:
     """``--shift``, else 0: the flag's own default is unset, so that a given 0 shows."""
     return 0.0 if args.shift is None else args.shift
@@ -271,8 +257,7 @@ def _simulate(args) -> int:
         policy = PreSelectedK(k, args.regroup.replace("-", "_"))
     else:
         raise _CliError(f"--regroup does not apply to --scheme {scheme.cli_name}")
-    seed = _seed(args)
-    result, row = simulate_point(model, policy, args.n, args.updates, args.warmup, seed,
+    result, row = simulate_point(model, policy, args.n, args.updates, args.warmup, args.seed,
                                  args.replications)
     echo = {
         "scheme": args.scheme,
@@ -281,7 +266,7 @@ def _simulate(args) -> int:
         "k": k,
         "updates": args.updates,
         "warmup": args.warmup,
-        "seed": seed,
+        "seed": args.seed,
         "replications": args.replications,
     }
     record = {"config": echo, **as_record(result),
@@ -341,7 +326,7 @@ def _experiment(args) -> int:
         rounds=args.rounds if args.rounds is not None else default_rounds,
         warmup=args.warmup,
         replications=args.replications,
-        seed=_seed(args),
+        seed=args.seed,
     )
     _emit(args, rows, table(rows))
     return 0
@@ -349,7 +334,7 @@ def _experiment(args) -> int:
 
 def _validate(args) -> int:
     report = run_validation(
-        rounds=args.rounds, seed=_seed(args), warmup=args.warmup, z_threshold=args.z
+        rounds=args.rounds, seed=args.seed, warmup=args.warmup, z_threshold=args.z
     )
     _emit(args, report.cells, table(report.cells), report.lines())
     return 0 if report.passed else 1
@@ -381,7 +366,7 @@ def _add_scheme_flags(parser, hyperexp_help: str, n_required: bool) -> None:
 
 def _add_run_flags(parser) -> None:
     parser.add_argument("--warmup", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _analyze_flags(parser) -> None:

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -89,7 +89,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SimulationError",
-    "run_rounds",
     "replicate",
 ]
 
@@ -262,43 +261,30 @@ class _FirstK:
         return out
 
 
-def run_rounds(
-    policy: StoppingPolicy,
-    delays: np.ndarray,
-    rank_uniforms: Optional[np.ndarray] = None,
-    workspace: Optional[_Workspace] = None,
-    *,
-    engine: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve many update rounds at once.
+# Not exported, but called through this module global: the benchmark's
+# tracer times resolution by wrapping simulator.run_rounds.
+def run_rounds(policy: StoppingPolicy, delays: np.ndarray, rank_uniforms: np.ndarray,
+               ws: _Workspace):
+    """Resolve a block of update rounds at once, as the engine draws them.
 
-    ``delays`` has shape (rounds, n).  Returns ``(y, delivered)`` where
-    ``y[j]`` is round j's duration and ``delivered[j]`` is the boolean
-    delivery mask.  Ties are broken toward the lowest node index.  A
-    pre-selected policy with ``regroup="fixed"`` keeps the group of nodes
-    0..k-1 in every round and needs no uniforms; with ``per_update`` the
-    groups come from ``rank_uniforms``, one uniform in [0, 1) per round, and
-    are never materialized.  Ranking a round's delays (ties by node index),
-    the slowest member of a uniform k-group drawn independently of the
-    delays has rank R with
+    ``delays`` is a (rounds, n) block that :func:`_draw` has screened,
+    ``rank_uniforms`` its rounds' uniforms in [0, 1) and ``ws`` the run's
+    workspace, of whose buffers the results may be views.  Returns ``(y,
+    delivered)``: ``y[j]`` is round j's duration, and ``delivered`` is, for
+    earliest-k or k == n, a :class:`_FirstK`, from which each crediting path
+    builds the mask in the layout it reads, and for a pre-selected group
+    short of n the round-major mask.  Ties are broken toward the lowest node
+    index.  A pre-selected policy with ``regroup="fixed"`` keeps the group
+    of nodes 0..k-1 in every round; with ``per_update`` the groups come from
+    ``rank_uniforms``, one per round, and are never materialized.  Ranking a
+    round's delays (ties by node index), the slowest member of a uniform
+    k-group drawn independently of the delays has rank R with
     P(R = r) = C(r-1, k-1)/C(n, k), r = k..n, whatever the delays are; so
     the R-th smallest delay as ``y`` gives ``(y, delivered)`` the law of an
-    explicit group, ties included.  Without a ``workspace`` the caller owns
-    the returned arrays; with one, they may be views of its buffers.
-
-    ``engine=True`` is the engine's call: its delays were screened when
-    their block was drawn (:func:`_draw`), and for earliest-k or k == n
-    ``delivered`` is a :class:`_FirstK`, from which the crediting path
-    builds the mask in the layout it reads.
+    explicit group, ties included.
     """
-    delays = np.asarray(delays, dtype=float)
-    if delays.ndim != 2:
-        raise ValueError(f"delays must be a (rounds, n) matrix, got shape {delays.shape}")
-    if not engine:
-        _screen(delays)
     rounds, n = delays.shape
     k = _policy_threshold(policy, n)
-    ws = workspace if workspace is not None else _Workspace()
     tied = None
     if k == n:
         # Wait-for-all, or any policy with k == n: no round has a tie to break.
@@ -306,8 +292,6 @@ def run_rounds(
     elif isinstance(policy, PreSelectedK) and policy.regroup == "fixed":
         y = delays[:, :k].max(axis=1)
     else:
-        if isinstance(policy, PreSelectedK):
-            rank_uniforms = _check_rank_uniforms(rank_uniforms, rounds)
         # A full in-place sort of the rows is faster here than a partition
         # for earliest-k's k-th smallest delay, and gives the same value.
         ordered = ws.array("sorted", (rounds, n))
@@ -328,20 +312,7 @@ def run_rounds(
     if tied is None:
         # A pre-selected group short of n: every delay <= y is delivered.
         return y, np.less_equal(delays, y[:, None], out=ws.array("delivered", (rounds, n), bool))
-    first_k = _FirstK(y, k, tied)
-    return y, (first_k if engine else _round_major(first_k, delays, ws))
-
-
-def _check_rank_uniforms(u, rounds: int) -> np.ndarray:
-    if u is None:
-        raise ValueError("per-update pre-selected policy needs rank_uniforms")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (rounds,):
-        raise ValueError(f"rank_uniforms must hold one uniform per round ({rounds}), "
-                         f"got shape {u.shape}")
-    if rounds and not (u.min() >= 0 and u.max() < 1):
-        raise ValueError("rank_uniforms must lie in [0, 1)")
-    return u
+    return y, _FirstK(y, k, tied)
 
 
 @dataclass(frozen=True)
@@ -507,7 +478,10 @@ def _credit_rounds(t_edges, y, delays, delivered, last_wall, last_gen, ws):
     terms turn the integral over ``[t_edges[0], t_edges[-1]]`` into the
     area between a node's last delivery before the rounds and its last in
     them.  The product is einsum's own loop, not BLAS, whose threads could
-    make the bits depend on the thread count.
+    make the bits depend on the thread count.  Both einsums sum in another
+    order over a strided ``y`` than over a contiguous one, so the bits
+    depend on its layout: earliest-k hands on a column of the sorted rows,
+    the other policies a contiguous array (see :func:`run_rounds`).
     """
     rounds, n = delays.shape
     t_start, t_end = t_edges[0], t_edges[-1]
@@ -657,9 +631,10 @@ def _warmup_states(configs, replication: int, ws: _Workspace) -> list:
     start.  Only that state survives the warmup, so it is built from the
     warmup's end: block by block, newest first (:func:`_warmup_blocks`),
     each drawn by :func:`_draw` as wide as the group, rank uniforms
-    included, from fresh streams moved to its first round, and scanned by every point that still has a node without a
-    delivery, until none has or round 0 has been scanned.  A node with no
-    warmup delivery keeps the state of the warmup's start.
+    included, from fresh streams moved to its first round, and scanned by
+    every point that still has a node without a delivery, until none has
+    or round 0 has been scanned.  A node with no warmup delivery keeps the
+    state of the warmup's start.
     """
     lead = configs[0]
     width = max(config.n for config in configs)
@@ -675,7 +650,7 @@ def _warmup_states(configs, replication: int, ws: _Workspace) -> list:
         for i in scanning:
             n, (last_wall, last_gen) = configs[i].n, states[i]
             view = delays[:, :n]
-            y, delivered = run_rounds(configs[i].policy, view, ranks, ws, engine=True)
+            y, delivered = run_rounds(configs[i].policy, view, ranks, ws)
             delivered = _round_major(delivered, view, ws)
             # From the start of each round to the end of the block.
             to_end = y[::-1].cumsum()[::-1]
@@ -709,7 +684,7 @@ def _simulate_group(configs, replication: int) -> list:
             delays, ranks = _draw(lead.model, streams, size, width, ws)
             for config, run in zip(configs, runs):
                 view = delays[:, :config.n]
-                y, delivered = run_rounds(config.policy, view, ranks, ws, engine=True)
+                y, delivered = run_rounds(config.policy, view, ranks, ws)
                 run.credit(b, y, view, delivered, ws)
     return [run.result(lead.updates) for run in runs]
 

@@ -1,11 +1,11 @@
 """Scalar reference implementations that the tests compare the engine against.
 
-:func:`run_round` resolves one update round through the engine's own
-:func:`~multicast_aoi.simulator.run_rounds`; :class:`NodeAgeState` and
-:func:`accumulate_delivery` credit one delivery at a time, the semantics
-that the engine's node-major pass applies to whole blocks; and
-:func:`order_stat_mc_oracle` estimates order-statistic moments by brute
-force for any delay model.
+:func:`resolve_rounds` resolves many update rounds, and :func:`run_round`
+one, through the engine's own :func:`~multicast_aoi.simulator.run_rounds`;
+:class:`NodeAgeState` and :func:`accumulate_delivery` credit one delivery
+at a time, the semantics that the engine's node-major pass applies to
+whole blocks; and :func:`order_stat_mc_oracle` estimates order-statistic
+moments by brute force for any delay model.
 """
 
 from __future__ import annotations
@@ -17,7 +17,37 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from multicast_aoi.delay_models import DelayModel, RandomStream, _check_kn
-from multicast_aoi.simulator import StoppingPolicy, run_rounds
+from multicast_aoi.simulator import (
+    StoppingPolicy,
+    _Workspace,
+    _round_major,
+    _screen,
+    run_rounds,
+)
+
+
+class _NoUniforms:
+    """Stands in for rank uniforms that were not given: reading it raises."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("a per-update pre-selected policy read rank uniforms; none given")
+
+
+def resolve_rounds(policy: StoppingPolicy, delays, rank_uniforms=None, ws=None):
+    """``(y, delivered)`` of a (rounds, n) matrix of delays, the mask round-major.
+
+    The engine's path for one drawn block: the screen that :func:`_draw`
+    applies, :func:`run_rounds`, then the round-major mask that the
+    round-by-round path builds.  Without a workspace ``ws`` the caller owns
+    the returned arrays; with one, they may be views of its buffers.
+    """
+    delays = np.asarray(delays, dtype=float)
+    _screen(delays)
+    ws = _Workspace() if ws is None else ws
+    if rank_uniforms is None:
+        rank_uniforms = _NoUniforms()
+    y, delivered = run_rounds(policy, delays, rank_uniforms, ws)
+    return y, _round_major(delivered, delays, ws)
 
 
 def run_round(
@@ -32,7 +62,7 @@ def run_round(
     """
     row = np.atleast_2d(np.asarray(delays, dtype=float))
     rank_uniforms = None if group_stream is None else group_stream.generator.random(1)
-    y, delivered = run_rounds(policy, row, rank_uniforms)
+    y, delivered = resolve_rounds(policy, row, rank_uniforms)
     return float(y[0]), frozenset(int(i) for i in np.flatnonzero(delivered[0]))
 
 

@@ -74,6 +74,5 @@ def test_every_command_in_the_readme_is_an_example():
 
 @pytest.mark.parametrize("command, expected", [example[1:] for example in EXAMPLES],
                          ids=[f"README.md:{example[0]}" for example in EXAMPLES])
-def test_example_output_matches(command, expected, monkeypatch):
-    monkeypatch.delenv("AOI_SEED", raising=False)
+def test_example_output_matches(command, expected):
     assert run(command) == expected
