@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from multicast_aoi import SweepRow, age_wait_for_all, cli
+from multicast_aoi import DEFAULT_SEED, SweepRow, age_wait_for_all, cli
 from multicast_aoi.cli import main
 
 
@@ -470,6 +470,15 @@ class TestExperimentAndValidate:
         code, out, err = run_cli(self.SEEDED[command] + ["--seed", seed], capsys)
         assert code == 2 and out == ""
         assert err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+
+    @pytest.mark.parametrize("command", list(SEEDED))
+    @pytest.mark.parametrize("value", ["99", "-1", str(2**64), "not-a-number"])
+    def test_environment_seed_is_ignored(self, capsys, monkeypatch, command, value):
+        # these commands print no seed, so an exported AOI_SEED once changed their numbers
+        monkeypatch.delenv("AOI_SEED", raising=False)
+        expected = run_cli(self.SEEDED[command] + ["--seed", str(DEFAULT_SEED)], capsys)
+        monkeypatch.setenv("AOI_SEED", value)
+        assert run_cli(self.SEEDED[command], capsys) == expected
 
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run_cli(self.SEEDED["fig6"] + ["--seed", str(2**64 - 1)], capsys)

@@ -42,6 +42,14 @@ def test_run_rounds_stays_a_module_global_outside_all():
     assert "run_rounds" not in simulator.__all__
 
 
+def test_run_rounds_has_one_contract():
+    # all four arguments are required and there is no engine switch
+    parameters = inspect.signature(simulator.run_rounds).parameters
+    assert list(parameters) == ["policy", "delays", "rank_uniforms", "ws"]
+    assert all(p.default is inspect.Parameter.empty for p in parameters.values())
+    assert not hasattr(simulator, "_check_rank_uniforms")
+
+
 def test_each_root_name_is_its_module_object():
     owners = [name for module in MODULES for name in module.__all__]
     assert sorted(owners) == sorted(ROOT_NAMES)  # each name has one module

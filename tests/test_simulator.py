@@ -81,6 +81,11 @@ class TestRunRound:
         with pytest.raises(ValueError, match="finite"):
             resolve_rounds(policy, delays)
 
+    def test_a_per_update_group_without_uniforms_fails_loudly(self):
+        # the oracle passes no stand-in that a policy could read as a rank
+        with pytest.raises(AssertionError, match="read rank uniforms"):
+            run_round(PreSelectedK(1), [0.1, 0.2])
+
     def test_kept_group_is_the_first_k_nodes(self):
         # no rank uniforms are needed
         delays = ShiftedExponential(1.0, 0.5).sample(RandomStream(6), (400, 5))
